@@ -112,8 +112,8 @@ void MobiRescueDispatcher::DecideByAssignment(
   problem.rows = rows.size();
   problem.cols = columns.size();
   problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
-  std::vector<std::vector<double>> margin(rows.size(),
-                                          std::vector<double>(columns.size()));
+  // Row-major rows x columns, like problem.cost.
+  std::vector<double> margin(problem.rows * problem.cols);
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const double depot_score =
         config_.prior_weight * HeuristicPrior(feature_rows[team_begin[r]]) +
@@ -130,7 +130,7 @@ void MobiRescueDispatcher::DecideByAssignment(
     }
     for (std::size_t c = 0; c < columns.size(); ++c) {
       const double m = by_candidate[columns[c]];
-      margin[r][c] = m;
+      margin[r * problem.cols + c] = m;
       if (std::isfinite(m)) {
         problem.at(r, c) = -m;  // Hungarian minimises
       }
@@ -141,7 +141,8 @@ void MobiRescueDispatcher::DecideByAssignment(
     const std::size_t k = rows[r];
     sim::TeamAction& action = decision.actions[k];
     const int col = result.row_to_col[r];
-    if (col >= 0 && margin[r][static_cast<std::size_t>(col)] > 0.0) {
+    if (col >= 0 &&
+        margin[r * problem.cols + static_cast<std::size_t>(col)] > 0.0) {
       action.kind = sim::ActionKind::kGoto;
       action.target = round.candidates[columns[static_cast<std::size_t>(col)]];
     } else {

@@ -47,8 +47,7 @@ void ShadowPolicyRunner::OnTick(std::uint64_t tick,
       problem.rows = capture.rows.size();
       problem.cols = capture.columns.size();
       problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
-      std::vector<std::vector<double>> margin(
-          problem.rows, std::vector<double>(problem.cols));
+      std::vector<double> margin(problem.rows * problem.cols);
       for (std::size_t r = 0; r < capture.rows.size(); ++r) {
         const std::size_t depot = capture.team_begin[r];
         const double depot_score =
@@ -69,7 +68,7 @@ void ShadowPolicyRunner::OnTick(std::uint64_t tick,
         }
         for (std::size_t c = 0; c < capture.columns.size(); ++c) {
           const double m = by_candidate[capture.columns[c]];
-          margin[r][c] = m;
+          margin[r * problem.cols + c] = m;
           if (std::isfinite(m)) problem.at(r, c) = -m;
         }
       }
@@ -77,7 +76,8 @@ void ShadowPolicyRunner::OnTick(std::uint64_t tick,
       for (std::size_t r = 0; r < capture.rows.size(); ++r) {
         const int col = result.row_to_col[r];
         sim::TeamAction shadow;
-        if (col >= 0 && margin[r][static_cast<std::size_t>(col)] > 0.0) {
+        if (col >= 0 &&
+            margin[r * problem.cols + static_cast<std::size_t>(col)] > 0.0) {
           shadow.kind = sim::ActionKind::kGoto;
           shadow.target =
               capture.candidates[capture.columns[static_cast<std::size_t>(col)]];

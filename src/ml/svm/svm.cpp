@@ -35,6 +35,71 @@ obs::Counter& PredictCounter() {
   return c;
 }
 
+// EvalKernel's arithmetic split in two: a per-feature term, summed from 0.0
+// in ascending feature order, and the transform of that sum.
+struct LinearTerms {
+  double Term(double s, double x) const { return s * x; }
+  double Finish(double sum) const { return sum; }
+};
+
+struct RbfTerms {
+  double gamma;
+  double Term(double s, double x) const {
+    const double t = s - x;
+    return t * t;
+  }
+  double Finish(double sum) const { return std::exp(-gamma * sum); }
+};
+
+struct PolyTerms {
+  double coef0;
+  int degree;
+  double Term(double s, double x) const { return s * x; }
+  double Finish(double sum) const { return std::pow(sum + coef0, degree); }
+};
+
+// Adds sum_i coeff[i] * k(sv_i, x_l) to out[l] for kLanes consecutive
+// d-wide query rows x_l, in one pass over the support vectors. Each lane
+// accumulates in DecisionValue's order (features ascending inside a
+// kernel, support vectors ascending outside), so every lane's value is
+// bit-identical to it.
+template <std::size_t kLanes, typename Terms>
+void ScoreLanes(const Terms& terms, const double* sv_flat,
+                const std::vector<double>& coeff, std::size_t d,
+                const double* q, double* out) {
+  double v[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) v[l] = out[l];
+  for (std::size_t i = 0; i < coeff.size(); ++i) {
+    const double* sv = sv_flat + i * d;
+    double sum[kLanes] = {};
+    for (std::size_t k = 0; k < d; ++k) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        sum[l] += terms.Term(sv[k], q[l * d + k]);
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      v[l] += coeff[i] * terms.Finish(sum[l]);
+    }
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) out[l] = v[l];
+}
+
+// Scores the rows of the row-major query block q in blocks of 4 (one pass
+// over the support vectors per block), then the remaining rows one by one.
+template <typename Terms>
+void ScoreRows(const Terms& terms, const double* sv_flat,
+               const std::vector<double>& coeff, std::size_t d,
+               const double* q, std::vector<double>& out) {
+  constexpr std::size_t kBlock = 4;
+  std::size_t r = 0;
+  for (; r + kBlock <= out.size(); r += kBlock) {
+    ScoreLanes<kBlock>(terms, sv_flat, coeff, d, q + r * d, out.data() + r);
+  }
+  for (; r < out.size(); ++r) {
+    ScoreLanes<1>(terms, sv_flat, coeff, d, q + r * d, out.data() + r);
+  }
+}
+
 }  // namespace
 
 void SvmDataset::Add(std::vector<double> features, int label) {
@@ -77,8 +142,6 @@ double SvmModel::DecisionValue(std::span<const double> features) const {
 std::vector<double> SvmModel::DecisionValues(
     const std::vector<std::vector<double>>& rows) const {
   // Flatten the query rows once, then stream both operands contiguously.
-  // Per-row accumulation over support vectors runs in the same ascending
-  // order as DecisionValue, so results match it bit for bit.
   OBS_SPAN("svm.decision_values");
   const std::size_t d =
       rows.empty() ? dim_ : rows.front().size();
@@ -90,15 +153,25 @@ std::vector<double> SvmModel::DecisionValues(
     }
     q_flat.insert(q_flat.end(), row.begin(), row.end());
   }
-  std::vector<double> out(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::span<const double> x(q_flat.data() + r * d, d);
-    double v = bias_;
-    for (std::size_t i = 0; i < coeff_.size(); ++i) {
-      const std::span<const double> sv(sv_flat_.data() + i * dim_, dim_);
-      v += coeff_[i] * EvalKernel(kernel_, sv, x);
-    }
-    out[r] = v;
+  if (!coeff_.empty() && d != dim_) {
+    throw std::invalid_argument("DecisionValues: dimension mismatch");
+  }
+  // The kernel switch sits outside the loops: each case runs one inlined
+  // kernel over every (row, support vector) pair.
+  std::vector<double> out(rows.size(), bias_);
+  const double* sv = sv_flat_.data();
+  const double* q = q_flat.data();
+  switch (kernel_.type) {
+    case KernelType::kLinear:
+      ScoreRows(LinearTerms{}, sv, coeff_, d, q, out);
+      break;
+    case KernelType::kRbf:
+      ScoreRows(RbfTerms{kernel_.gamma}, sv, coeff_, d, q, out);
+      break;
+    case KernelType::kPolynomial:
+      ScoreRows(PolyTerms{kernel_.coef0, kernel_.degree}, sv, coeff_, d, q,
+                out);
+      break;
   }
   return out;
 }

@@ -51,8 +51,8 @@ class SvmModel {
   /// Signed decision value; >= 0 classifies as +1.
   double DecisionValue(std::span<const double> features) const;
 
-  /// Decision values for many rows in one cache-friendly pass over the
-  /// flattened support vectors. Entry i is bit-identical to
+  /// Decision values for many rows: blocks of 4 rows share one pass over
+  /// the flattened support vectors. Entry i is bit-identical to
   /// DecisionValue(rows[i]).
   std::vector<double> DecisionValues(
       const std::vector<std::vector<double>>& rows) const;

@@ -21,32 +21,33 @@ AssignmentResult SolveAssignment(const AssignmentProblem& problem) {
           "SolveAssignment: non-finite cost (use kForbiddenCost)");
     }
   }
-  // Pad to square with zero-cost dummy cells: dummy rows absorb surplus
-  // columns and vice versa.
-  const std::size_t n = std::max(problem.rows, problem.cols);
-  if (n == 0) return {};
+  const std::size_t n = problem.rows;
+  const std::size_t cols = problem.cols;
+  AssignmentResult result;
+  result.row_to_col.assign(n, -1);
+  if (n == 0 || cols == 0) return result;
+  // e-maxx potentials formulation (1-indexed internally) over the real rows
+  // only: O(rows^2 * cols). It needs rows <= columns, so surplus rows get
+  // zero-cost dummy columns cols+1..m; surplus columns simply stay unused.
+  const std::size_t m = std::max(n, cols);
 
-  auto cost = [&](std::size_t r, std::size_t c) -> double {
-    if (r < problem.rows && c < problem.cols) return problem.at(r, c);
-    return 0.0;
-  };
-
-  // e-maxx potentials formulation (1-indexed internally).
-  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
-  std::vector<std::size_t> p(n + 1, 0), way(n + 1, 0);
+  std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0), minv(m + 1);
+  std::vector<std::size_t> p(m + 1, 0), way(m + 1, 0);
+  std::vector<char> used(m + 1);
   for (std::size_t i = 1; i <= n; ++i) {
     p[0] = i;
     std::size_t j0 = 0;
-    std::vector<double> minv(n + 1, kInf);
-    std::vector<char> used(n + 1, 0);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), 0);
     do {
       used[j0] = 1;
       const std::size_t i0 = p[j0];
+      const double* row = problem.cost.data() + (i0 - 1) * cols;
       double delta = kInf;
       std::size_t j1 = 0;
-      for (std::size_t j = 1; j <= n; ++j) {
-        if (used[j]) continue;
-        const double cur = cost(i0 - 1, j - 1) - u[i0] - v[j];
+      auto relax = [&](std::size_t j, double c) {
+        if (used[j]) return;
+        const double cur = c - u[i0] - v[j];
         if (cur < minv[j]) {
           minv[j] = cur;
           way[j] = j0;
@@ -55,8 +56,10 @@ AssignmentResult SolveAssignment(const AssignmentProblem& problem) {
           delta = minv[j];
           j1 = j;
         }
-      }
-      for (std::size_t j = 0; j <= n; ++j) {
+      };
+      for (std::size_t j = 1; j <= cols; ++j) relax(j, row[j - 1]);
+      for (std::size_t j = cols + 1; j <= m; ++j) relax(j, 0.0);
+      for (std::size_t j = 0; j <= m; ++j) {
         if (used[j]) {
           u[p[j]] += delta;
           v[j] -= delta;
@@ -73,16 +76,14 @@ AssignmentResult SolveAssignment(const AssignmentProblem& problem) {
     } while (j0 != 0);
   }
 
-  AssignmentResult result;
-  result.row_to_col.assign(problem.rows, -1);
-  for (std::size_t j = 1; j <= n; ++j) {
+  for (std::size_t j = 1; j <= cols; ++j) {
     const std::size_t i = p[j];
-    if (i >= 1 && i <= problem.rows && j <= problem.cols) {
-      // Skip forbidden assignments encoded with kForbiddenCost.
-      if (problem.at(i - 1, j - 1) >= kForbiddenCost * 0.999) continue;
-      result.row_to_col[i - 1] = static_cast<int>(j - 1);
-      result.total_cost += problem.at(i - 1, j - 1);
-    }
+    if (i == 0) continue;
+    // Skip forbidden assignments encoded with kForbiddenCost.
+    const double c = problem.at(i - 1, j - 1);
+    if (c >= kForbiddenCost * 0.999) continue;
+    result.row_to_col[i - 1] = static_cast<int>(j - 1);
+    result.total_cost += c;
   }
   return result;
 }

@@ -1,5 +1,6 @@
 // Exact minimum-cost assignment (Hungarian algorithm, Jonker-style potential
-// formulation, O(n^3)).
+// formulation, run over the rectangular problem directly: O(rows^2 * cols)
+// when rows <= cols, O(rows^3) otherwise).
 //
 // This is the integer-programming core of both baselines: `Schedule` [5] and
 // `Rescue` [8] assign rescue teams to (appeared / predicted) request

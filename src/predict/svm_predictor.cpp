@@ -200,7 +200,8 @@ Distribution SvmRequestPredictor::PredictDistribution(
     const std::vector<mobility::GpsRecord>& snapshot, util::SimTime t,
     double time_offset, const roadnet::SpatialIndex& index) const {
   // Scale every snapshot row first, then classify the whole batch in one
-  // DecisionValues pass; only positives pay for the spatial-index lookup.
+  // DecisionValues pass; only positives are map-matched, in one batched
+  // NearestSegments call (id-for-id equal to the scalar NearestSegment).
   std::vector<std::vector<double>> rows;
   rows.reserve(snapshot.size());
   for (const mobility::GpsRecord& r : snapshot) {
@@ -209,10 +210,16 @@ Distribution SvmRequestPredictor::PredictDistribution(
         std::vector<double>{h.precipitation_mm, h.wind_mph, h.altitude_m}));
   }
   const std::vector<double> values = model_.DecisionValues(rows);
-  Distribution dist;
+  std::vector<util::GeoPoint> positives;
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     if (values[i] < threshold_) continue;
-    const roadnet::SegmentId seg = index.NearestSegment(snapshot[i].pos);
+    positives.push_back(snapshot[i].pos);
+  }
+  std::vector<roadnet::SegmentId> segs(positives.size());
+  index.NearestSegments(positives.data(), positives.size(), -1.0,
+                        segs.data());
+  Distribution dist;
+  for (const roadnet::SegmentId seg : segs) {
     if (seg == roadnet::kInvalidSegment) continue;
     ++dist[seg];
   }

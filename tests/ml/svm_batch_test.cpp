@@ -33,15 +33,19 @@ TEST_P(SvmBatchKernelTest, DecisionValuesMatchPerRowBitwise) {
   const SvmModel model = TrainSvm(data, config);
   ASSERT_GT(model.num_support_vectors(), 0u);
 
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 40; ++i) {
-    rows.push_back({rng.Uniform(-3, 3), rng.Uniform(-3, 3)});
-  }
-  const std::vector<double> batched = model.DecisionValues(rows);
-  ASSERT_EQ(batched.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    ASSERT_EQ(batched[i], model.DecisionValue(rows[i]))
-        << KernelName(GetParam()) << " row " << i;
+  // Row counts around the 4-row block: empty, tail only, exact blocks,
+  // blocks plus a tail, and a predictor-sized batch.
+  for (const std::size_t n : {0, 1, 3, 4, 5, 7, 40, 2001}) {
+    std::vector<std::vector<double>> rows;
+    for (std::size_t i = 0; i < n; ++i) {
+      rows.push_back({rng.Uniform(-3, 3), rng.Uniform(-3, 3)});
+    }
+    const std::vector<double> batched = model.DecisionValues(rows);
+    ASSERT_EQ(batched.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(batched[i], model.DecisionValue(rows[i]))
+          << KernelName(GetParam()) << " n " << n << " row " << i;
+    }
   }
 }
 
@@ -68,6 +72,8 @@ TEST(SvmBatchTest, DecisionValuesRejectsRaggedRows) {
   const SvmModel model = TrainSvm(data, SvmConfig{});
   const std::vector<std::vector<double>> ragged = {{0.1, 0.2}, {0.3}};
   EXPECT_THROW(model.DecisionValues(ragged), std::invalid_argument);
+  const std::vector<std::vector<double>> too_wide = {{0.1, 0.2, 0.3}};
+  EXPECT_THROW(model.DecisionValues(too_wide), std::invalid_argument);
 }
 
 TEST(SvmBatchTest, ErrorCacheTrainsEquivalentQualityModel) {

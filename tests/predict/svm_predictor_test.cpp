@@ -77,6 +77,40 @@ TEST_F(SvmPredictorTest, DistributionCountsPeopleOnSegments) {
   EXPECT_EQ(dist.begin()->second, 5);
 }
 
+TEST_F(SvmPredictorTest, DistributionMatchesPerPersonReference) {
+  // The batched refresh (one DecisionValues pass, one NearestSegments call)
+  // must count exactly what per-person PredictPerson + scalar
+  // NearestSegment would, on snapshots of the evaluation trace before the
+  // storm and during it.
+  const auto& spec = world_->eval.spec;
+  const mobility::GpsTrace& trace = world_->eval.trace.records;
+  std::vector<mobility::GpsRecord> snapshot;
+  for (std::size_t i = 0; i < trace.size(); i += 10) {
+    snapshot.push_back(trace[i]);
+  }
+  ASSERT_GT(snapshot.size(), 1000u);
+  std::size_t positives = 0, negatives = 0;
+  for (const util::SimTime at :
+       {0.0, spec.storm.storm_peak_s, spec.storm.storm_end_s}) {
+    const double offset = at - 600.0;
+    const Distribution dist = predictor_->PredictDistribution(
+        snapshot, 600.0, offset, *world_->index);
+    Distribution reference;
+    for (const mobility::GpsRecord& r : snapshot) {
+      if (!predictor_->PredictPerson(r.pos, 600.0 + offset)) {
+        ++negatives;
+        continue;
+      }
+      ++positives;
+      const roadnet::SegmentId seg = world_->index->NearestSegment(r.pos);
+      if (seg != roadnet::kInvalidSegment) ++reference[seg];
+    }
+    EXPECT_EQ(dist, reference) << "at " << at;
+  }
+  EXPECT_GT(positives, 0u);
+  EXPECT_GT(negatives, 0u);
+}
+
 TEST_F(SvmPredictorTest, EmptySnapshotEmptyDistribution) {
   EXPECT_TRUE(predictor_
                   ->PredictDistribution({}, 0.0,
