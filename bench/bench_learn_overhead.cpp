@@ -1,11 +1,11 @@
 // Online-learning overhead gate (DESIGN.md §15): the tick's product is the
 // dispatch decision, and the continual-learning subsystem must not slow it
-// down. Inside DispatchService::Tick the decision path (drain + decide,
-// including the RoundCapture copies Decide makes when learning is on) runs
-// first; the learner — collector, candidate training, shadow scoring,
-// promotion gate — runs strictly after the decision exists, so its cost
-// delays the tick's return but never the decision. This bench serves the
-// same streamed day through
+// down. Inside DispatchService::Tick the decision path (drain + decide)
+// runs first; Decide builds and keeps the round's RoundCapture in both
+// modes, frozen serving included. The learner — collector, candidate
+// training, shadow scoring, promotion gate — runs strictly after the
+// decision exists, so its cost delays the tick's return but never the
+// decision. This bench serves the same streamed day through
 //
 //   frozen     the plain frozen-policy service (learning disabled)
 //   learning   config.learn.enabled with production-default budgets

@@ -102,17 +102,6 @@ std::vector<double> DispatchFeaturizer::Features(
   return f;
 }
 
-std::vector<std::vector<double>> DispatchFeaturizer::AllFeatures(
-    const RoundData& round, const sim::TeamView& team,
-    const std::vector<sim::TeamView>* all_teams) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(round.NumActions());
-  for (std::size_t idx = 0; idx < round.NumActions(); ++idx) {
-    out.push_back(Features(round, team, idx, all_teams));
-  }
-  return out;
-}
-
 std::vector<std::size_t> DispatchFeaturizer::TeamActionSet(
     const RoundData& round, const sim::TeamView& team) const {
   std::vector<std::pair<double, std::size_t>> by_time;

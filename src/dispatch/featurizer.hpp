@@ -41,8 +41,8 @@ struct RoundData {
   predict::Distribution demand;
   double total_demand = 0.0;
 
-  /// Number of actions a team can take: one per candidate + depot.
-  std::size_t NumActions() const { return candidates.size() + 1; }
+  /// Action idx == candidates.size() is the depot; the others are the
+  /// candidates.
   bool IsDepotAction(std::size_t idx) const {
     return idx == candidates.size();
   }
@@ -68,11 +68,6 @@ class DispatchFeaturizer {
                                const sim::TeamView& team, std::size_t idx,
                                const std::vector<sim::TeamView>* all_teams =
                                    nullptr) const;
-
-  /// All action feature vectors for a team, in action order.
-  std::vector<std::vector<double>> AllFeatures(
-      const RoundData& round, const sim::TeamView& team,
-      const std::vector<sim::TeamView>* all_teams = nullptr) const;
 
   /// The team's local action set: indices (into round action space) of the
   /// per_team_k nearest demand candidates, followed by the depot action.

@@ -1,6 +1,7 @@
 #include "dispatch/mobirescue_dispatcher.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <unordered_set>
@@ -29,21 +30,122 @@ double MobiRescueDispatcher::HeuristicPrior(
   return 2.0 * features[1] + 2.0 * features[10] - features[0] - features[9];
 }
 
+void OpenTransition::Open(std::vector<double> row, const RewardWeights& reward,
+                          bool serving) {
+  features = std::move(row);
+  accumulated = serving ? -reward.gamma : 0.0;
+  rounds = 0;
+  valid = true;
+}
+
+rl::Transition OpenTransition::Close(
+    std::vector<std::vector<double>> next_candidates) {
+  rl::Transition t;
+  t.features = std::move(features);
+  t.reward = accumulated;
+  t.next_candidates = std::move(next_candidates);
+  t.terminal = false;
+  t.duration_rounds = std::max(1, rounds);
+  valid = false;
+  return t;
+}
+
+void AccrueRound(const RewardWeights& reward,
+                 const sim::DispatchContext& context,
+                 std::vector<OpenTransition>& open) {
+  if (open.size() != context.teams.size()) {
+    open.assign(context.teams.size(), {});
+  }
+  for (std::size_t k = 0; k < context.teams.size(); ++k) {
+    OpenTransition& pt = open[k];
+    if (!pt.valid) continue;
+    const sim::TeamView& team = context.teams[k];
+    // Per-team decomposition of Eq. (5): this team's served requests and
+    // its driving time toward its assignment since the last round (the
+    // serving-team cost gamma is charged once, at decision time).
+    pt.accumulated += reward.alpha * team.served_since_dispatch -
+                      reward.beta * team.drive_time_since_dispatch;
+    ++pt.rounds;
+  }
+}
+
+std::vector<sim::TeamAction> AssignByMargin(const RoundCapture& round,
+                                            const std::vector<double>& q) {
+  opt::AssignmentProblem problem;
+  problem.rows = round.rows.size();
+  problem.cols = round.columns.size();
+  problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
+  // Row-major rows x columns, like problem.cost.
+  std::vector<double> margin(problem.rows * problem.cols);
+  for (std::size_t r = 0; r < problem.rows; ++r) {
+    const std::size_t depot = round.team_begin[r];
+    const double depot_score =
+        round.prior_weight *
+            MobiRescueDispatcher::HeuristicPrior(round.feature_rows[depot]) +
+        q[depot];
+    // Score each distinct candidate once, then spread to its columns.
+    std::vector<double> by_candidate(round.candidates.size(),
+                                     -std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < round.candidates.size(); ++i) {
+      const std::size_t row = round.cand_row[r][i];
+      if (row == SIZE_MAX) continue;
+      by_candidate[i] =
+          round.prior_weight *
+              MobiRescueDispatcher::HeuristicPrior(round.feature_rows[row]) +
+          q[row] - depot_score;
+    }
+    for (std::size_t c = 0; c < problem.cols; ++c) {
+      const double m = by_candidate[round.columns[c]];
+      margin[r * problem.cols + c] = m;
+      if (std::isfinite(m)) {
+        problem.at(r, c) = -m;  // Hungarian minimises
+      }
+    }
+  }
+  const opt::AssignmentResult result = opt::SolveAssignment(problem);
+  std::vector<sim::TeamAction> actions(problem.rows);
+  for (std::size_t r = 0; r < problem.rows; ++r) {
+    const int col = result.row_to_col[r];
+    if (col >= 0 &&
+        margin[r * problem.cols + static_cast<std::size_t>(col)] > 0.0) {
+      actions[r].kind = sim::ActionKind::kGoto;
+      actions[r].target =
+          round.candidates[round.columns[static_cast<std::size_t>(col)]];
+    }
+    // Otherwise kKeep, a stand-down in place: the team stops serving (it
+    // is not counted as a serving team) but stays staged where it is —
+    // typically the hospital it last delivered to — instead of burning
+    // fuel on a trek to the dispatching centre.
+  }
+  return actions;
+}
+
 void MobiRescueDispatcher::DecideByAssignment(
-    const sim::DispatchContext& context, RoundData& round,
-    std::unordered_set<roadnet::SegmentId>& pending_now,
+    const sim::DispatchContext& context, const RoundData& round,
     sim::DispatchDecision& decision) {
-  // A round that ends on an early return was not scored — its capture
-  // stays invalid (the learner just accrues rewards on such rounds).
-  if (capture_enabled_) capture_ = RoundCapture{};
+  // The round's scored action space is built straight into capture_. A
+  // round that ends on an early return was not scored — its capture stays
+  // invalid (the learner just accrues rewards on such rounds).
+  capture_ = RoundCapture{};
+  RoundCapture& cap = capture_;
+
+  // Appeared requests are re-target opportunities for serving teams,
+  // except segments some team is already heading to (they are covered).
+  std::unordered_set<roadnet::SegmentId> pending_now;
+  for (const sim::RequestView& r : context.pending) {
+    pending_now.insert(r.segment);
+  }
+  for (const sim::TeamView& t : context.teams) {
+    if (t.mode == sim::TeamMode::kToTarget) pending_now.erase(t.target_segment);
+  }
+
   // Serving teams keep their legs, with the pending-swing exception.
-  std::vector<std::size_t> rows;  // decidable teams
   for (std::size_t k = 0; k < context.teams.size(); ++k) {
     const sim::TeamView& team = context.teams[k];
     sim::TeamAction& action = decision.actions[k];
     if (team.mode == sim::TeamMode::kIdle ||
         team.mode == sim::TeamMode::kToDepot) {
-      rows.push_back(k);
+      cap.rows.push_back(k);  // decidable
       continue;
     }
     action.kind = sim::ActionKind::kKeep;
@@ -66,127 +168,51 @@ void MobiRescueDispatcher::DecideByAssignment(
       pending_now.erase(action.target);
     }
   }
-  if (rows.empty()) return;
+  if (cap.rows.empty()) return;
   if (round.candidates.empty()) {
-    for (std::size_t k : rows) decision.actions[k].kind = sim::ActionKind::kDepot;
+    for (std::size_t k : cap.rows) {
+      decision.actions[k].kind = sim::ActionKind::kDepot;
+    }
     return;
   }
 
   // Columns: candidate instances, replicated for multi-person demand so
   // several teams can be sent to a deep cluster.
-  std::vector<std::size_t> columns;  // candidate index per column
   for (std::size_t i = 0; i < round.candidates.size(); ++i) {
     int copies = 1;
     const auto it = round.demand.find(round.candidates[i]);
     if (it != round.demand.end() && it->second > 5) {
       copies = std::min(3, (it->second + 4) / 5);
     }
-    for (int c = 0; c < copies; ++c) columns.push_back(i);
+    for (int c = 0; c < copies; ++c) cap.columns.push_back(i);
   }
 
-  // Scores: prior + Q per (team, candidate); margin over the team's depot
-  // value. Positive margin means the pair is worth serving. All (team,
-  // action) feature rows of the round — each team's depot row plus its
-  // reachable candidates — go through ONE batched Q-network pass; entry
-  // order makes every row's Q bit-identical to a per-row evaluation.
-  std::vector<std::vector<double>> feature_rows;
-  std::vector<std::size_t> team_begin(rows.size());   // depot row per team
-  std::vector<std::vector<std::size_t>> cand_row(
-      rows.size(),
-      std::vector<std::size_t>(round.candidates.size(), SIZE_MAX));
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const sim::TeamView& team = context.teams[rows[r]];
-    team_begin[r] = feature_rows.size();
-    feature_rows.push_back(featurizer_.Features(
+  // All (team, action) feature rows of the round — each team's depot row
+  // plus its reachable candidates — go through ONE batched Q-network pass;
+  // entry order makes every row's Q bit-identical to a per-row evaluation.
+  cap.team_begin.resize(cap.rows.size());
+  cap.cand_row.assign(cap.rows.size(), std::vector<std::size_t>(
+                                           round.candidates.size(), SIZE_MAX));
+  for (std::size_t r = 0; r < cap.rows.size(); ++r) {
+    const sim::TeamView& team = context.teams[cap.rows[r]];
+    cap.team_begin[r] = cap.feature_rows.size();
+    cap.feature_rows.push_back(featurizer_.Features(
         round, team, round.candidates.size(), &context.teams));
     for (std::size_t i = 0; i < round.candidates.size(); ++i) {
       if (!round.trees[i]->Reachable(team.at)) continue;
-      cand_row[r][i] = feature_rows.size();
-      feature_rows.push_back(
+      cap.cand_row[r][i] = cap.feature_rows.size();
+      cap.feature_rows.push_back(
           featurizer_.Features(round, team, i, &context.teams));
     }
   }
-  const std::vector<double> qs = agent_->QValues(feature_rows);
-
-  opt::AssignmentProblem problem;
-  problem.rows = rows.size();
-  problem.cols = columns.size();
-  problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
-  // Row-major rows x columns, like problem.cost.
-  std::vector<double> margin(problem.rows * problem.cols);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const double depot_score =
-        config_.prior_weight * HeuristicPrior(feature_rows[team_begin[r]]) +
-        qs[team_begin[r]];
-    // Score each distinct candidate once, then spread to its columns.
-    std::vector<double> by_candidate(round.candidates.size(),
-                                     -std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-      const std::size_t row = cand_row[r][i];
-      if (row == SIZE_MAX) continue;
-      by_candidate[i] =
-          config_.prior_weight * HeuristicPrior(feature_rows[row]) +
-          qs[row] - depot_score;
-    }
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      const double m = by_candidate[columns[c]];
-      margin[r * problem.cols + c] = m;
-      if (std::isfinite(m)) {
-        problem.at(r, c) = -m;  // Hungarian minimises
-      }
-    }
+  cap.candidates = round.candidates;
+  cap.prior_weight = config_.prior_weight;
+  cap.live_q = agent_->QValues(cap.feature_rows);
+  cap.live_actions = AssignByMargin(cap, cap.live_q);
+  for (std::size_t r = 0; r < cap.rows.size(); ++r) {
+    decision.actions[cap.rows[r]] = cap.live_actions[r];
   }
-  const opt::AssignmentResult result = opt::SolveAssignment(problem);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::size_t k = rows[r];
-    sim::TeamAction& action = decision.actions[k];
-    const int col = result.row_to_col[r];
-    if (col >= 0 &&
-        margin[r * problem.cols + static_cast<std::size_t>(col)] > 0.0) {
-      action.kind = sim::ActionKind::kGoto;
-      action.target = round.candidates[columns[static_cast<std::size_t>(col)]];
-    } else {
-      // Stand down in place: the team stops serving (it is not counted as
-      // a serving team) but stays staged where it is — typically the
-      // hospital it last delivered to — instead of burning fuel on a trek
-      // to the dispatching centre.
-      action.kind = sim::ActionKind::kKeep;
-    }
-  }
-
-  if (capture_enabled_) {
-    // Hand the round's scored action space to the learning subsystem.
-    // Everything below was already computed for the live decision; the
-    // vectors consumed past this point are moved, not copied.
-    capture_.valid = true;
-    capture_.live_actions.reserve(rows.size());
-    for (const std::size_t k : rows) {
-      capture_.live_actions.push_back(decision.actions[k]);
-    }
-    capture_.rows = std::move(rows);
-    capture_.team_begin = std::move(team_begin);
-    capture_.cand_row = std::move(cand_row);
-    capture_.columns = std::move(columns);
-    capture_.candidates = round.candidates;
-    capture_.live_q = qs;
-    capture_.prior_weight = config_.prior_weight;
-    capture_.feature_rows = std::move(feature_rows);
-  }
-}
-
-void MobiRescueDispatcher::AccrueRewards(const sim::DispatchContext& context) {
-  if (pending_.size() != context.teams.size()) return;
-  for (std::size_t k = 0; k < context.teams.size(); ++k) {
-    PendingTransition& pt = pending_[k];
-    if (!pt.valid) continue;
-    const sim::TeamView& team = context.teams[k];
-    // Per-team decomposition of Eq. (5): this team's served requests and
-    // its driving time toward its assignment since the last round (the
-    // serving-team cost gamma is charged once, at decision time).
-    pt.accumulated += config_.reward.alpha * team.served_since_dispatch -
-                      config_.reward.beta * team.drive_time_since_dispatch;
-    ++pt.rounds;
-  }
+  cap.valid = true;
 }
 
 sim::DispatchDecision MobiRescueDispatcher::Decide(
@@ -213,30 +239,13 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
   // speculative SVM counts — an appeared request is certain demand.
   predict::Distribution demand = cached_distribution_;
   std::vector<roadnet::SegmentId> pending_segments;
-  std::unordered_set<roadnet::SegmentId> pending_now;
   for (const sim::RequestView& r : context.pending) {
     demand[r.segment] += 4;
     pending_segments.push_back(r.segment);
-    pending_now.insert(r.segment);
   }
 
   RoundData round =
       featurizer_.PrepareRound(demand, *context.condition, pending_segments);
-
-  // Segments already being targeted by some team are covered: they are not
-  // re-target opportunities for other serving teams.
-  for (const sim::TeamView& t : context.teams) {
-    if (t.mode == sim::TeamMode::kToTarget) {
-      pending_now.erase(t.target_segment);
-    }
-  }
-
-  if (pending_.size() != context.teams.size()) {
-    pending_.assign(context.teams.size(), {});
-  }
-  if (config_.training) {
-    AccrueRewards(context);
-  }
 
   sim::DispatchDecision decision;
   decision.compute_latency_s = config_.compute_latency_s;
@@ -246,47 +255,24 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     // Joint-action argmax: the Q-network (plus prior) scores each (team,
     // candidate) pair; the best joint action under "one team per candidate
     // instance" is a maximum-score bipartite assignment. Teams whose best
-    // use is standing down go to the depot. Serving/delivering teams keep
-    // their legs (with the pending-swing exception below).
-    DecideByAssignment(context, round, pending_now, decision);
+    // use is standing down keep their position (kKeep, DESIGN.md §5).
+    // Serving/delivering teams keep their legs (with the pending-swing
+    // exception).
+    DecideByAssignment(context, round, decision);
     return decision;
   }
 
+  AccrueRound(config_.reward, context, pending_);
   for (std::size_t k = 0; k < context.teams.size(); ++k) {
     const sim::TeamView& team = context.teams[k];
     sim::TeamAction& action = decision.actions[k];
     // Commitment semantics: a team mid-leg finishes its leg; idle teams and
     // depot-bound teams (standing down is always interruptible) receive new
-    // decisions. Exception (the paper's real-time route adjustment):
-    // outside training, a serving team swings to a candidate with an
-    // *appeared* request when that is a decisive improvement over finishing
-    // its current leg.
+    // decisions.
     const bool decidable = team.mode == sim::TeamMode::kIdle ||
                            team.mode == sim::TeamMode::kToDepot;
     if (!decidable) {
       action.kind = sim::ActionKind::kKeep;
-      if (!config_.training && team.mode == sim::TeamMode::kToTarget) {
-        std::size_t best_idx = round.candidates.size();  // none
-        double best_time = team.leg_remaining_s - config_.retarget_margin_s;
-        for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-          const roadnet::SegmentId seg = round.candidates[i];
-          if (seg == team.target_segment) continue;
-          if (!pending_now.count(seg)) continue;
-          const auto& tree = *round.trees[i];
-          if (!tree.Reachable(team.at)) continue;
-          if (tree.time_s[team.at] < best_time) {
-            best_time = tree.time_s[team.at];
-            best_idx = i;
-          }
-        }
-        if (best_idx < round.candidates.size()) {
-          action.kind = sim::ActionKind::kGoto;
-          action.target = round.candidates[best_idx];
-          pending_now.erase(action.target);  // claimed by this swing
-          auto it = round.demand.find(action.target);
-          if (it != round.demand.end()) it->second = 0;
-        }
-      }
       continue;
     }
 
@@ -296,23 +282,14 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
         featurizer_.FeaturesFor(round, team, action_set, &context.teams);
 
     // The team is idle: its previous macro-transition (if any) is complete.
-    if (config_.training && pending_[k].valid) {
-      rl::Transition t;
-      t.features = std::move(pending_[k].features);
-      t.reward = pending_[k].accumulated;
-      t.next_candidates = features;
-      t.terminal = false;
-      t.duration_rounds = std::max(1, pending_[k].rounds);
-      agent_->Push(std::move(t));
-      pending_[k].valid = false;
-    }
+    if (pending_[k].valid) agent_->Push(pending_[k].Close(features));
 
     if (round.candidates.empty()) {
       action.kind = sim::ActionKind::kDepot;
       continue;
     }
     std::size_t local_idx = 0;
-    if (config_.training && agent_->ExploreNow()) {
+    if (agent_->ExploreNow()) {
       local_idx = agent_->RandomAction(features.size());
     } else {
       // One batched Q pass over the team's whole action set.
@@ -328,8 +305,8 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
       }
     }
     const std::size_t idx = action_set[local_idx];
-    double gamma_charge = 0.0;
-    if (round.IsDepotAction(idx)) {
+    const bool serving = !round.IsDepotAction(idx);
+    if (!serving) {
       action.kind = sim::ActionKind::kDepot;
       if (team.at == city_.depot || team.mode == sim::TeamMode::kToDepot) {
         // Re-affirming a stand-down is a no-op; don't open a
@@ -339,7 +316,6 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     } else {
       action.kind = sim::ActionKind::kGoto;
       action.target = round.candidates[idx];
-      gamma_charge = config_.reward.gamma;
       // Sequential claiming: this team absorbs part of the candidate's
       // demand, so later teams in the same round see the residual and
       // spread instead of piling onto one segment.
@@ -351,12 +327,7 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
         round.total_demand = std::max(0.0, round.total_demand - absorbed);
       }
     }
-    if (config_.training) {
-      pending_[k].features = std::move(features[local_idx]);
-      pending_[k].accumulated = -gamma_charge;
-      pending_[k].rounds = 0;
-      pending_[k].valid = true;
-    }
+    pending_[k].Open(std::move(features[local_idx]), config_.reward, serving);
   }
 
   // Realisation pass: the policy has decided *which* destination segments
@@ -403,26 +374,21 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     }
     // Keep the learning attribution consistent with what each team will
     // actually do: re-featurise the assigned destination.
-    if (config_.training) {
-      for (std::size_t r = 0; r < goers.size(); ++r) {
-        const std::size_t k = goers[r];
-        if (!pending_[k].valid) continue;
-        for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-          if (round.candidates[i] == decision.actions[k].target) {
-            pending_[k].features =
-                featurizer_.Features(round, context.teams[k], i,
-                                     &context.teams);
-            break;
-          }
+    for (std::size_t r = 0; r < goers.size(); ++r) {
+      const std::size_t k = goers[r];
+      if (!pending_[k].valid) continue;
+      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
+        if (round.candidates[i] == decision.actions[k].target) {
+          pending_[k].features =
+              featurizer_.Features(round, context.teams[k], i, &context.teams);
+          break;
         }
       }
     }
   }
 
-  if (config_.training) {
-    for (int i = 0; i < config_.train_steps_per_round; ++i) {
-      last_loss_ = agent_->TrainStep();
-    }
+  for (int i = 0; i < config_.train_steps_per_round; ++i) {
+    last_loss_ = agent_->TrainStep();
   }
   return decision;
 }

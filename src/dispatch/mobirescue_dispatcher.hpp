@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "dispatch/featurizer.hpp"
 #include "obs/metrics.hpp"
@@ -32,15 +32,48 @@ struct RewardWeights {
   double gamma = 0.01;        // per serving team
 };
 
-/// One evaluation round's scored action space, captured verbatim from
-/// DecideByAssignment for the learning subsystem (src/learn/): the feature
-/// rows and Q-values the live policy computed anyway, plus the row/column
-/// layout needed to re-score the same round under a different Q-network.
-/// Capturing moves already-built vectors — it never changes what the live
-/// policy decides.
+/// One team's open macro-transition (semi-MDP style), shared by the offline
+/// training path and the online learner's collector: a decision commits a
+/// team to a leg, the Eq. (5) reward accrues over the leg's rounds, and the
+/// transition closes when the team is next decidable.
+struct OpenTransition {
+  std::vector<double> features;
+  double accumulated = 0.0;
+  int rounds = 0;
+  bool valid = false;
+  /// True when the open transition is a stand-down (depot/keep) choice;
+  /// the collector collapses consecutive stand-downs into one transition
+  /// per streak. (The offline path recognises a re-affirmed stand-down
+  /// from the team's position instead and leaves this false.)
+  bool is_standdown = false;
+
+  /// Opens on the chosen action's feature row. Choosing to serve is
+  /// charged the serving-team cost gamma once, here; standing down opens
+  /// at zero.
+  void Open(std::vector<double> row, const RewardWeights& reward,
+            bool serving);
+  /// Closes into a replay transition bootstrapped on `next_candidates`
+  /// (the team's action rows this round).
+  rl::Transition Close(std::vector<std::vector<double>> next_candidates);
+};
+
+/// Accrues one round of the per-team Eq. (5) reward onto every open
+/// transition: the team's served requests and its driving time since the
+/// previous round. `open` is parallel to context.teams and is reset when
+/// the fleet size changes.
+void AccrueRound(const RewardWeights& reward,
+                 const sim::DispatchContext& context,
+                 std::vector<OpenTransition>& open);
+
+/// One evaluation round's scored action space, kept by DecideByAssignment
+/// after every round: the feature rows and Q-values the live policy
+/// scored, plus the row/column layout needed to re-score the same round
+/// under a different Q-network (AssignByMargin). The learning subsystem
+/// (src/learn/) reads it; keeping it never changes what the live policy
+/// decides.
 struct RoundCapture {
   /// False when the round had no decidable teams or no candidates (nothing
-  /// was scored), or when capturing is disabled.
+  /// was scored).
   bool valid = false;
   /// All scored feature rows of the round: for each decidable team its
   /// depot row followed by one row per reachable candidate.
@@ -124,23 +157,16 @@ class MobiRescueDispatcher : public sim::Dispatcher {
   /// distance- and competition-averse, 0 for the depot action.
   static double HeuristicPrior(const std::vector<double>& features);
 
-  /// Round capture for the learning subsystem: when enabled, every
-  /// evaluation-mode Decide() stores the round's scored action space in
-  /// last_capture(). Off by default — frozen-policy serving pays nothing.
-  void EnableRoundCapture(bool enabled) { capture_enabled_ = enabled; }
+  /// The scored action space of the last evaluation-mode Decide() (invalid
+  /// when that round scored nothing).
   const RoundCapture& last_capture() const { return capture_; }
 
  private:
-  /// Accrues the per-round reward ingredients onto each team's open
-  /// macro-transition.
-  void AccrueRewards(const sim::DispatchContext& context);
-
-  /// Evaluation-time joint-action selection: maximum-score bipartite
-  /// assignment of decidable teams to candidate instances, scored by
-  /// prior + Q; plus the pending-swing re-target for serving teams.
+  /// Evaluation-time joint-action selection: the pending-swing re-target
+  /// for serving teams, then AssignByMargin over the decidable teams,
+  /// built straight into capture_.
   void DecideByAssignment(const sim::DispatchContext& context,
-                          RoundData& round,
-                          std::unordered_set<roadnet::SegmentId>& pending_now,
+                          const RoundData& round,
                           sim::DispatchDecision& decision);
 
   const roadnet::City& city_;
@@ -160,20 +186,19 @@ class MobiRescueDispatcher : public sim::Dispatcher {
       "SVM prediction refreshes that threw; the last-known distribution "
       "was kept."};
 
-  /// Open macro-transition per team (semi-MDP style): a decision commits a
-  /// team to a leg; the Eq. (5) reward accrues over the leg's rounds and the
-  /// transition closes when the team is idle and decides again.
-  struct PendingTransition {
-    std::vector<double> features;
-    double accumulated = 0.0;
-    int rounds = 0;
-    bool valid = false;
-  };
-  std::vector<PendingTransition> pending_;
+  std::vector<OpenTransition> pending_;  // training only; per team
   double last_loss_ = 0.0;
 
-  bool capture_enabled_ = false;
   RoundCapture capture_;
 };
+
+/// The serving policy's scoring tail (DESIGN.md §5), pure so live serving
+/// and shadow policies run the same code: team r's margin for a column is
+/// `prior_weight * HeuristicPrior(row) + q[row]` minus the same score of
+/// its depot row, and a maximum-margin assignment of teams to columns
+/// sends a team only where its margin is positive. `q` is parallel to
+/// `round.feature_rows`; the result has one action per `round.rows` entry.
+std::vector<sim::TeamAction> AssignByMargin(const RoundCapture& round,
+                                            const std::vector<double>& q);
 
 }  // namespace mobirescue::dispatch

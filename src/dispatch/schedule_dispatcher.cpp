@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "opt/hungarian.hpp"
-
 namespace mobirescue::dispatch {
 
 ScheduleDispatcher::ScheduleDispatcher(const roadnet::City& city,

@@ -1,6 +1,5 @@
 #include "learn/experience_collector.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace mobirescue::learn {
@@ -9,27 +8,9 @@ ExperienceCollector::ExperienceCollector(dispatch::RewardWeights reward,
                                          TransitionSink sink)
     : reward_(reward), sink_(std::move(sink)) {}
 
-void ExperienceCollector::Accrue(const sim::DispatchContext& context) {
-  // Per-team decomposition of the paper's Eq. (5), exactly as the offline
-  // training path accrues it: this team's pickups and its driving time
-  // since the previous round (the serving-team charge gamma was applied
-  // once, when the transition opened).
-  for (std::size_t k = 0; k < context.teams.size(); ++k) {
-    Pending& p = pending_[k];
-    if (!p.valid) continue;
-    const sim::TeamView& team = context.teams[k];
-    p.accumulated += reward_.alpha * team.served_since_dispatch -
-                     reward_.beta * team.drive_time_since_dispatch;
-    ++p.rounds;
-  }
-}
-
 void ExperienceCollector::Observe(const sim::DispatchContext& context,
                                   const dispatch::RoundCapture& capture) {
-  if (pending_.size() != context.teams.size()) {
-    pending_.assign(context.teams.size(), {});
-  }
-  Accrue(context);
+  dispatch::AccrueRound(reward_, context, pending_);
   if (!capture.valid) return;  // nothing scored this round; stay open
 
   for (std::size_t r = 0; r < capture.rows.size(); ++r) {
@@ -47,22 +28,14 @@ void ExperienceCollector::Observe(const sim::DispatchContext& context,
     // one per round.
     const bool in_standdown_streak = pending_[k].is_standdown;
     if (pending_[k].valid) {
-      rl::Transition t;
-      t.features = std::move(pending_[k].features);
-      t.reward = pending_[k].accumulated;
-      t.duration_rounds = std::max(1, pending_[k].rounds);
-      t.terminal = false;
-      t.next_candidates.push_back(
-          capture.feature_rows[capture.team_begin[r]]);
+      std::vector<std::vector<double>> next;
+      next.push_back(capture.feature_rows[capture.team_begin[r]]);
       for (const std::size_t row : capture.cand_row[r]) {
-        if (row != SIZE_MAX) {
-          t.next_candidates.push_back(capture.feature_rows[row]);
-        }
+        if (row != SIZE_MAX) next.push_back(capture.feature_rows[row]);
       }
-      pending_[k].valid = false;
       ++transitions_;
       transitions_total_.Increment();
-      sink_(std::move(t));
+      sink_(pending_[k].Close(std::move(next)));
     }
 
     // Open the next transition from the action the live policy chose.
@@ -76,10 +49,7 @@ void ExperienceCollector::Observe(const sim::DispatchContext& context,
         }
       }
       if (row == SIZE_MAX) continue;  // target not in this round's rows
-      pending_[k].features = capture.feature_rows[row];
-      pending_[k].accumulated = -reward_.gamma;  // serving-team charge
-      pending_[k].rounds = 0;
-      pending_[k].valid = true;
+      pending_[k].Open(capture.feature_rows[row], reward_, /*serving=*/true);
     } else {
       // Stand-down (kKeep from the assignment) and kDepot are the policy's
       // "don't serve" action. Mirror the training path's no-op rule: a
@@ -87,10 +57,8 @@ void ExperienceCollector::Observe(const sim::DispatchContext& context,
       // whose last action was already a stand-down opens nothing, or
       // zero-information rows would flood the buffer.
       if (in_standdown_streak) continue;
-      pending_[k].features = capture.feature_rows[capture.team_begin[r]];
-      pending_[k].accumulated = 0.0;
-      pending_[k].rounds = 0;
-      pending_[k].valid = true;
+      pending_[k].Open(capture.feature_rows[capture.team_begin[r]], reward_,
+                       /*serving=*/false);
       pending_[k].is_standdown = true;
     }
   }

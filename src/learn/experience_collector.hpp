@@ -4,11 +4,12 @@
 // The live policy's DecideByAssignment already featurises and Q-scores the
 // whole round; the collector consumes that RoundCapture instead of
 // re-featurising, so its per-tick cost is bookkeeping plus vector copies.
-// It mirrors the offline training path's semi-MDP macro-transitions
-// (dispatch/mobirescue_dispatcher.cpp): a decision opens a transition for
-// the deciding team, the Eq. (5) reward accrues over the leg's rounds, and
-// the transition closes — with the team's current action set as the
-// bootstrap candidates — when the team is next decidable.
+// It builds the same semi-MDP macro-transitions as the offline training
+// path, with the same helpers (dispatch::OpenTransition, AccrueRound): a
+// decision opens a transition for the deciding team, the Eq. (5) reward
+// accrues over the leg's rounds, and the transition closes — with the
+// team's current action set as the bootstrap candidates — when the team is
+// next decidable.
 //
 // Fallback ticks (greedy dispatcher in charge) abort all open transitions:
 // the executed actions were not the policy's, so attributing their rewards
@@ -47,23 +48,13 @@ class ExperienceCollector {
   std::uint64_t aborted() const { return aborted_; }
 
   /// One open macro-transition (public for checkpointing via the learner).
-  struct Pending {
-    std::vector<double> features;
-    double accumulated = 0.0;
-    int rounds = 0;
-    bool valid = false;
-    /// True when the open transition is a stand-down (depot/keep) choice;
-    /// consecutive stand-downs collapse into one transition per streak.
-    bool is_standdown = false;
-  };
+  using Pending = dispatch::OpenTransition;
   const std::vector<Pending>& pending() const { return pending_; }
   /// Restores the open-transition table from a checkpoint (learner only).
   void RestorePending(std::vector<Pending> pending, std::uint64_t transitions,
                       std::uint64_t aborted);
 
  private:
-  void Accrue(const sim::DispatchContext& context);
-
   dispatch::RewardWeights reward_;
   TransitionSink sink_;
   std::vector<Pending> pending_;  // parallel to context.teams

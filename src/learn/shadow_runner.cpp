@@ -3,11 +3,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 #include "obs/recorder.hpp"
-#include "opt/hungarian.hpp"
 #include "sim/dispatcher.hpp"
 
 namespace mobirescue::learn {
@@ -42,52 +40,13 @@ void ShadowPolicyRunner::OnTick(std::uint64_t tick,
 
     std::size_t agree = 0;
     if (q_finite) {
-      // Replicate the live margin/assignment tail exactly, with shadow Q.
-      opt::AssignmentProblem problem;
-      problem.rows = capture.rows.size();
-      problem.cols = capture.columns.size();
-      problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
-      std::vector<double> margin(problem.rows * problem.cols);
+      const std::vector<sim::TeamAction> shadow =
+          dispatch::AssignByMargin(capture, qs);
       for (std::size_t r = 0; r < capture.rows.size(); ++r) {
-        const std::size_t depot = capture.team_begin[r];
-        const double depot_score =
-            capture.prior_weight * dispatch::MobiRescueDispatcher::
-                                       HeuristicPrior(
-                                           capture.feature_rows[depot]) +
-            qs[depot];
-        std::vector<double> by_candidate(
-            capture.candidates.size(),
-            -std::numeric_limits<double>::infinity());
-        for (std::size_t i = 0; i < capture.candidates.size(); ++i) {
-          const std::size_t row = capture.cand_row[r][i];
-          if (row == SIZE_MAX) continue;
-          by_candidate[i] = capture.prior_weight *
-                                dispatch::MobiRescueDispatcher::HeuristicPrior(
-                                    capture.feature_rows[row]) +
-                            qs[row] - depot_score;
-        }
-        for (std::size_t c = 0; c < capture.columns.size(); ++c) {
-          const double m = by_candidate[capture.columns[c]];
-          margin[r * problem.cols + c] = m;
-          if (std::isfinite(m)) problem.at(r, c) = -m;
-        }
-      }
-      const opt::AssignmentResult result = opt::SolveAssignment(problem);
-      for (std::size_t r = 0; r < capture.rows.size(); ++r) {
-        const int col = result.row_to_col[r];
-        sim::TeamAction shadow;
-        if (col >= 0 &&
-            margin[r * problem.cols + static_cast<std::size_t>(col)] > 0.0) {
-          shadow.kind = sim::ActionKind::kGoto;
-          shadow.target =
-              capture.candidates[capture.columns[static_cast<std::size_t>(col)]];
-        } else {
-          shadow.kind = sim::ActionKind::kKeep;
-        }
         const sim::TeamAction& live = capture.live_actions[r];
-        if (shadow.kind == live.kind &&
-            (shadow.kind != sim::ActionKind::kGoto ||
-             shadow.target == live.target)) {
+        if (shadow[r].kind == live.kind &&
+            (shadow[r].kind != sim::ActionKind::kGoto ||
+             shadow[r].target == live.target)) {
           ++agree;
         }
       }

@@ -1,9 +1,10 @@
 // Shadow policy evaluation (DESIGN.md §15): candidate policies are scored
 // on the EXACT DispatchContexts the live policy served — same feature rows,
 // same assignment columns, same prior blend — by re-running only the cheap
-// tail of the decision (one batched Q pass plus the Hungarian assignment)
-// over the live round's RoundCapture. Shadow decisions are logged and
-// compared against the executed live actions; they are NEVER executed.
+// tail of the decision over the live round's RoundCapture: one batched Q
+// pass, then the serving policy's own dispatch::AssignByMargin. Shadow
+// decisions are logged and compared against the executed live actions;
+// they are NEVER executed.
 #pragma once
 
 #include <cstdint>

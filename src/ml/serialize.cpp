@@ -65,12 +65,19 @@ SvmModel LoadSvm(std::istream& is) {
   if (!(is >> n >> dim >> bias)) {
     throw std::runtime_error("LoadSvm: bad size block");
   }
-  std::vector<std::vector<double>> sv(n, std::vector<double>(dim));
-  std::vector<double> coeff(n);
+  if (dim > kMaxFeatureDim) {
+    throw std::runtime_error("LoadSvm: dimension out of range");
+  }
+  // The support vectors grow as they are read: n is untrusted, so it never
+  // sizes an allocation, and a short input fails at its first missing value.
+  std::vector<std::vector<double>> sv;
+  std::vector<double> coeff;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> coeff[i])) throw std::runtime_error("LoadSvm: bad coeff");
-    for (std::size_t j = 0; j < dim; ++j) {
-      if (!(is >> sv[i][j])) throw std::runtime_error("LoadSvm: bad sv");
+    double c = 0.0;
+    if (!(is >> c)) throw std::runtime_error("LoadSvm: bad coeff");
+    coeff.push_back(c);
+    for (double& v : sv.emplace_back(dim)) {
+      if (!(is >> v)) throw std::runtime_error("LoadSvm: bad sv");
     }
   }
   return SvmModel(kernel, std::move(sv), std::move(coeff), bias);
@@ -90,6 +97,9 @@ FeatureScaler LoadScaler(std::istream& is) {
   ExpectMagic(is, kScalerMagic);
   std::size_t dim = 0;
   if (!(is >> dim)) throw std::runtime_error("LoadScaler: bad size");
+  if (dim > kMaxFeatureDim) {
+    throw std::runtime_error("LoadScaler: dimension out of range");
+  }
   std::vector<double> mean(dim), std(dim);
   for (double& v : mean) {
     if (!(is >> v)) throw std::runtime_error("LoadScaler: bad mean");
@@ -119,6 +129,9 @@ void LoadMlpWeights(Mlp& net, std::istream& is) {
   std::size_t in = 0, out = 0, layers = 0;
   if (!(is >> in >> out >> layers)) {
     throw std::runtime_error("LoadMlpWeights: bad topology header");
+  }
+  if (layers > kMaxHiddenLayers) {
+    throw std::runtime_error("LoadMlpWeights: layer count out of range");
   }
   std::vector<std::size_t> hidden(layers);
   for (std::size_t& h : hidden) {

@@ -4,6 +4,7 @@
 // disasters well before the one it serves).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -12,6 +13,12 @@
 #include "ml/svm/svm.hpp"
 
 namespace mobirescue::ml {
+
+/// Topology bounds the loaders enforce on sizes read from (possibly
+/// corrupt) input before anything is allocated; generous against anything
+/// the system produces.
+inline constexpr std::size_t kMaxFeatureDim = 1u << 16;
+inline constexpr std::size_t kMaxHiddenLayers = 64;
 
 /// Writes the SVM (kernel config, support vectors, coefficients, bias) to a
 /// stream; throws std::runtime_error on I/O failure.

@@ -23,9 +23,8 @@ constexpr const char* kLearnMagic = "mobirescue-learn-v1";
 constexpr const char* kLearnEnd = "mobirescue-learn-end";
 
 // Sanity bounds for sizes read from a (possibly corrupt) file: reject
-// before allocating. Generous vs anything the system produces.
-constexpr std::size_t kMaxFeatureDim = 1u << 16;
-constexpr std::size_t kMaxHiddenLayers = 64;
+// before allocating. Generous vs anything the system produces; the feature
+// dimension and layer count share ml::kMaxFeatureDim / ml::kMaxHiddenLayers.
 constexpr std::size_t kMaxHiddenWidth = 1u << 16;
 constexpr std::size_t kMaxWeightCount = 1u << 28;
 constexpr std::size_t kMaxStateRecords = 1u << 26;
@@ -113,8 +112,8 @@ void LoadDqn(rl::DqnConfig& config, std::vector<double>& weights,
   if (!(is >> config.feature_dim >> layers)) {
     throw std::runtime_error("LoadCheckpoint: bad DQN topology");
   }
-  if (config.feature_dim == 0 || config.feature_dim > kMaxFeatureDim ||
-      layers > kMaxHiddenLayers) {
+  if (config.feature_dim == 0 || config.feature_dim > ml::kMaxFeatureDim ||
+      layers > ml::kMaxHiddenLayers) {
     throw std::runtime_error("LoadCheckpoint: DQN topology out of range");
   }
   config.hidden.resize(layers);
@@ -259,6 +258,13 @@ ServiceCheckpoint LoadCheckpoint(std::istream& is) {
   LoadDqn(ckpt.dqn, ckpt.dqn_weights, ckpt.dqn_target_weights, is);
   ckpt.svm = ml::LoadSvm(is);
   ckpt.svm_scaler = ml::LoadScaler(is);
+  // The predictor scales each factor row, then scores it with the SVM, so
+  // the two dimensions must agree (an SVM without support vectors has none).
+  if (ckpt.svm.num_support_vectors() != 0 &&
+      ckpt.svm.dimension() != ckpt.svm_scaler.mean().size()) {
+    throw std::runtime_error(
+        "LoadCheckpoint: SVM and scaler dimensions differ");
+  }
   ckpt.svm_threshold = ReadDouble(is, "threshold");
   // Optional serving-state and learner sections; EOF here is a valid
   // model-only file.

@@ -94,13 +94,13 @@ DispatchService::DispatchService(const roadnet::City& city,
   owned_dispatcher_ = std::move(mr);
   dispatcher_ = owned_dispatcher_.get();
   if (config_.learn.enabled) {
-    // The learner rides on the live round's captured action space; the
-    // capture only fills vectors Decide() already built, so frozen-policy
-    // decisions are unchanged (dispatch_service_test proves bit-identity
-    // with learning disabled, learn tests with it enabled).
+    // The learner rides on the live round's kept action space
+    // (last_capture()), which Decide() builds whether or not anyone reads
+    // it, so learning never changes what the live policy decides
+    // (dispatch_service_test proves bit-identity with learning disabled,
+    // learn tests with it enabled).
     learner_ = std::make_unique<learn::OnlineLearner>(
         config_.learn, mr_config.reward, live_agent_);
-    mobirescue_->EnableRoundCapture(true);
   }
 }
 

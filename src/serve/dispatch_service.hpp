@@ -74,7 +74,7 @@ struct ServiceConfig {
   std::string checkpoint_path;
   /// Online continual learning (DESIGN.md §15; MobiRescue services only).
   /// Disabled by default: the frozen-policy serving path is untouched —
-  /// bit-identical decisions, no capture, no learner allocation.
+  /// bit-identical decisions, no learner allocation.
   learn::LearnConfig learn;
   /// Extra SLO health rules (DESIGN.md §16), appended to the built-in
   /// ladder rules (DispatchService::DefaultHealthRules): kObserve rules

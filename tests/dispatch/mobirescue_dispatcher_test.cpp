@@ -162,6 +162,82 @@ TEST_F(MobiRescueDispatcherTest, ServingTeamKeepsLegWhenNoBetterOption) {
   EXPECT_EQ(decision.actions[0].kind, sim::ActionKind::kKeep);
 }
 
+TEST_F(MobiRescueDispatcherTest, FrozenServingKeepsItsScoredRound) {
+  auto dispatcher = MakeDispatcher();
+  auto ctx = Context(6);
+  ctx.teams[2].mode = sim::TeamMode::kToHospital;  // not decidable
+  ctx.pending.push_back({0, 3, 0.0});
+  const auto decision = dispatcher.Decide(ctx);
+
+  // No opt-in: every evaluation round leaves its scored action space
+  // behind, and re-scoring it with the live Q reproduces the decision.
+  const RoundCapture& cap = dispatcher.last_capture();
+  ASSERT_TRUE(cap.valid);
+  ASSERT_EQ(cap.rows.size(), 5u);
+  ASSERT_EQ(cap.live_q.size(), cap.feature_rows.size());
+  const std::vector<sim::TeamAction> again = AssignByMargin(cap, cap.live_q);
+  ASSERT_EQ(again.size(), cap.rows.size());
+  for (std::size_t r = 0; r < cap.rows.size(); ++r) {
+    const sim::TeamAction& live = decision.actions[cap.rows[r]];
+    EXPECT_EQ(cap.live_actions[r].kind, live.kind);
+    EXPECT_EQ(cap.live_actions[r].target, live.target);
+    EXPECT_EQ(again[r].kind, live.kind);
+    EXPECT_EQ(again[r].target, live.target);
+  }
+}
+
+TEST_F(MobiRescueDispatcherTest, TrainingClosesOneTransitionWithEq5Reward) {
+  rl::DqnConfig dqn;
+  dqn.feature_dim = DispatchFeaturizer::kFeatureDim;
+  dqn.epsilon_start = 0.0;  // greedy: the choice is prior + Q
+  dqn.epsilon_end = 0.0;
+  agent_ = std::make_shared<rl::DqnAgent>(dqn);
+  MobiRescueConfig config;
+  config.training = true;
+  config.prior_weight = 1.0;
+  config.train_steps_per_round = 0;  // keep the buffer as pushed
+  MobiRescueDispatcher dispatcher(
+      *world_->city, *svm_, *tracker_, *world_->index, agent_,
+      world_->eval.spec.eval_day * util::kSecondsPerDay, config);
+
+  // Round 1: the idle team chooses to serve an appeared request next to
+  // it, which opens a transition charged -gamma.
+  auto ctx = Context(1);
+  roadnet::SegmentId nearby = roadnet::kInvalidSegment;
+  for (roadnet::SegmentId s :
+       world_->city->network.OutSegments(ctx.teams[0].at)) {
+    if (cond_.IsOpen(s)) nearby = s;
+  }
+  if (nearby == roadnet::kInvalidSegment) GTEST_SKIP() << "flooded corner";
+  ctx.pending.push_back({0, nearby, 0.0});
+  ASSERT_EQ(dispatcher.Decide(ctx).actions[0].kind, sim::ActionKind::kGoto);
+  EXPECT_EQ(dispatcher.agent().buffer().size(), 0u);
+
+  // Rounds 2-3 mid-leg, round 4 idle again: each accrues the team's
+  // served and drive increments; round 4 closes the transition.
+  const RewardWeights& w = config.reward;
+  const int served[] = {1, 0, 2};
+  const double drive_s[] = {120.0, 300.0, 60.0};
+  double want = -w.gamma;
+  for (int round = 0; round < 3; ++round) {
+    ctx.teams[0].mode =
+        round < 2 ? sim::TeamMode::kToTarget : sim::TeamMode::kIdle;
+    ctx.teams[0].target_segment = nearby;
+    ctx.teams[0].served_since_dispatch = served[round];
+    ctx.teams[0].drive_time_since_dispatch = drive_s[round];
+    want += w.alpha * served[round] - w.beta * drive_s[round];
+    dispatcher.Decide(ctx);
+  }
+
+  const rl::ReplayBuffer& buffer = dispatcher.agent().buffer();
+  ASSERT_EQ(buffer.size(), 1u);
+  const rl::Transition& t = buffer.data()[0];
+  EXPECT_DOUBLE_EQ(t.reward, want);
+  EXPECT_EQ(t.duration_rounds, 3);
+  EXPECT_FALSE(t.terminal);
+  EXPECT_FALSE(t.next_candidates.empty());
+}
+
 TEST_F(MobiRescueDispatcherTest, DecisionsAreDeterministic) {
   auto d1 = MakeDispatcher();
   auto d2 = MakeDispatcher();

@@ -43,6 +43,37 @@ TEST(SerializeTest, SvmRejectsGarbage) {
   EXPECT_THROW(LoadSvm(truncated), std::runtime_error);
 }
 
+// Header counts are untrusted: a loader must reject a hostile count with
+// std::runtime_error before sizing anything by it. 2^62 elements exceed
+// std::vector's max_size, so a loader that still trusted the count would
+// fail fast with std::length_error instead of allocating.
+constexpr const char* kHugeCount = "4611686018427387904";  // 2^62
+
+TEST(SerializeTest, SvmHostileCountsRejected) {
+  std::stringstream huge_n(std::string("mobirescue-svm-v1\n1 0.5 3 1.0\n") +
+                           kHugeCount + " 3 0.1\n0.5 1 2 3\n");
+  EXPECT_THROW(LoadSvm(huge_n), std::runtime_error);
+  std::stringstream huge_dim(std::string("mobirescue-svm-v1\n1 0.5 3 1.0\n1 ") +
+                             kHugeCount + " 0.1\n0.5 1 2 3\n");
+  EXPECT_THROW(LoadSvm(huge_dim), std::runtime_error);
+}
+
+TEST(SerializeTest, ScalerHostileDimensionRejected) {
+  std::stringstream buffer(std::string("mobirescue-scaler-v1\n") +
+                           kHugeCount + "\n1 2\n3 4\n");
+  EXPECT_THROW(LoadScaler(buffer), std::runtime_error);
+}
+
+TEST(SerializeTest, MlpHostileLayerCountRejected) {
+  MlpConfig config;
+  config.input_dim = 4;
+  config.hidden = {8};
+  Mlp net(config);
+  std::stringstream buffer(std::string("mobirescue-mlp-v1\n4 1 ") +
+                           kHugeCount + " 8\n");
+  EXPECT_THROW(LoadMlpWeights(net, buffer), std::runtime_error);
+}
+
 TEST(SerializeTest, ScalerRoundTrip) {
   FeatureScaler scaler;
   std::vector<std::vector<double>> rows = {{1.0, 10.0}, {3.0, 30.0},

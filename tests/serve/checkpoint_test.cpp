@@ -126,6 +126,17 @@ TEST(CheckpointTest, SvmRoundTripBitIdenticalDecisionValues) {
   }
 }
 
+TEST(CheckpointTest, SvmScalerDimensionMismatchRejected) {
+  ServiceCheckpoint ckpt = HandMadeCheckpoint();
+  ml::FeatureScaler two_dim;
+  two_dim.Restore({1.0, 2.0}, {0.5, 0.25});
+  ckpt.svm_scaler = two_dim;  // the SVM's support vectors are 3-dim
+
+  std::stringstream ss;
+  SaveCheckpoint(ckpt, ss);
+  EXPECT_THROW(LoadCheckpoint(ss), std::runtime_error);
+}
+
 TEST(CheckpointTest, FileRoundTrip) {
   auto agent = TrainedAgent();
   ServiceCheckpoint ckpt = HandMadeCheckpoint();
