@@ -6,6 +6,7 @@
 #include <limits>
 #include <unordered_set>
 
+#include "obs/trace.hpp"
 #include "opt/hungarian.hpp"
 
 namespace mobirescue::dispatch {
@@ -225,9 +226,13 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
   if (context.now - cached_at_ >= config_.prediction_refresh_s) {
     try {
       if (config_.prediction_chaos) config_.prediction_chaos(context.now);
+      OBS_SPAN("predict.refresh");
+      // The source's own map-match of each record is reused; the
+      // predictor matches only the people it has none for.
       const auto& snapshot = tracker_.Snapshot(context.now);
       cached_distribution_ = predictor_.PredictDistribution(
-          snapshot, context.now, day_offset_s_, index_);
+          snapshot, context.now, day_offset_s_, index_,
+          tracker_.SnapshotSegments());
     } catch (const std::exception&) {
       ++prediction_failures_;
       prediction_failures_total_.Increment();

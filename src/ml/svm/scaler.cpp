@@ -33,11 +33,21 @@ std::vector<double> FeatureScaler::Transform(std::span<const double> row) const 
   if (row.size() != mean_.size()) {
     throw std::invalid_argument("FeatureScaler: dimension mismatch");
   }
-  std::vector<double> out(row.size());
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    out[j] = (row[j] - mean_[j]) / std_[j];
-  }
+  std::vector<double> out(row.begin(), row.end());
+  TransformRows(out);
   return out;
+}
+
+void FeatureScaler::TransformRows(std::span<double> rows) const {
+  const std::size_t dim = mean_.size();
+  if ((dim == 0 && !rows.empty()) || (dim != 0 && rows.size() % dim != 0)) {
+    throw std::invalid_argument("FeatureScaler: dimension mismatch");
+  }
+  for (std::size_t i = 0; i < rows.size(); i += dim) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      rows[i + j] = (rows[i + j] - mean_[j]) / std_[j];
+    }
+  }
 }
 
 std::vector<std::vector<double>> FeatureScaler::TransformAll(

@@ -18,10 +18,15 @@ class FeatureScaler {
   /// z-scores one row (constant features pass through centred).
   std::vector<double> Transform(std::span<const double> row) const;
 
+  /// z-scores, in place, a row-major buffer of rows of dimension() values
+  /// each, with Transform's arithmetic.
+  void TransformRows(std::span<double> rows) const;
+
   std::vector<std::vector<double>> TransformAll(
       std::span<const std::vector<double>> rows) const;
 
   bool fitted() const { return !mean_.empty(); }
+  std::size_t dimension() const { return mean_.size(); }
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& stddev() const { return std_; }
 

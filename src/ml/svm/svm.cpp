@@ -35,13 +35,18 @@ obs::Counter& PredictCounter() {
   return c;
 }
 
+// bias + w.x, features ascending: the one linear scoring expression, shared
+// by DecisionValue and DecisionValues so the two agree bit for bit. Without
+// support vectors w is empty and every row scores at the bias.
+double PrimalValue(const std::vector<double>& w, double bias,
+                   const double* x) {
+  double dot = 0.0;
+  for (std::size_t k = 0; k < w.size(); ++k) dot += w[k] * x[k];
+  return bias + dot;
+}
+
 // EvalKernel's arithmetic split in two: a per-feature term, summed from 0.0
 // in ascending feature order, and the transform of that sum.
-struct LinearTerms {
-  double Term(double s, double x) const { return s * x; }
-  double Finish(double sum) const { return sum; }
-};
-
 struct RbfTerms {
   double gamma;
   double Term(double s, double x) const {
@@ -89,7 +94,7 @@ void ScoreLanes(const Terms& terms, const double* sv_flat,
 template <typename Terms>
 void ScoreRows(const Terms& terms, const double* sv_flat,
                const std::vector<double>& coeff, std::size_t d,
-               const double* q, std::vector<double>& out) {
+               const double* q, std::span<double> out) {
   constexpr std::size_t kBlock = 4;
   std::size_t r = 0;
   for (; r + kBlock <= out.size(); r += kBlock) {
@@ -128,9 +133,25 @@ SvmModel::SvmModel(KernelConfig kernel,
     }
     sv_flat_.insert(sv_flat_.end(), sv.begin(), sv.end());
   }
+  if (kernel_.type == KernelType::kLinear) {
+    // sum_i coeff_i * k(sv_i, x) = (sum_i coeff_i * sv_i) . x for the
+    // linear kernel: fold the support vectors once, ascending.
+    w_.assign(dim_, 0.0);
+    for (std::size_t i = 0; i < coeff_.size(); ++i) {
+      for (std::size_t k = 0; k < dim_; ++k) {
+        w_[k] += coeff_[i] * sv_flat_[i * dim_ + k];
+      }
+    }
+  }
 }
 
 double SvmModel::DecisionValue(std::span<const double> features) const {
+  if (!coeff_.empty() && features.size() != dim_) {
+    throw std::invalid_argument("DecisionValue: dimension mismatch");
+  }
+  if (kernel_.type == KernelType::kLinear) {
+    return PrimalValue(w_, bias_, features.data());
+  }
   double v = bias_;
   for (std::size_t i = 0; i < coeff_.size(); ++i) {
     const std::span<const double> sv(sv_flat_.data() + i * dim_, dim_);
@@ -139,12 +160,39 @@ double SvmModel::DecisionValue(std::span<const double> features) const {
   return v;
 }
 
+void SvmModel::DecisionValues(std::span<const double> rows, std::size_t dim,
+                              std::span<double> out) const {
+  if (rows.size() != out.size() * dim) {
+    throw std::invalid_argument("DecisionValues: buffer size mismatch");
+  }
+  if (!coeff_.empty() && dim != dim_) {
+    throw std::invalid_argument("DecisionValues: dimension mismatch");
+  }
+  // The kernel switch sits outside the loops: the kernel cases each run
+  // one inlined kernel over every (row, support vector) pair.
+  const double* q = rows.data();
+  const double* sv = sv_flat_.data();
+  switch (kernel_.type) {
+    case KernelType::kLinear:
+      for (std::size_t r = 0; r < out.size(); ++r) {
+        out[r] = PrimalValue(w_, bias_, q + r * dim);
+      }
+      break;
+    case KernelType::kRbf:
+      std::fill(out.begin(), out.end(), bias_);
+      ScoreRows(RbfTerms{kernel_.gamma}, sv, coeff_, dim, q, out);
+      break;
+    case KernelType::kPolynomial:
+      std::fill(out.begin(), out.end(), bias_);
+      ScoreRows(PolyTerms{kernel_.coef0, kernel_.degree}, sv, coeff_, dim, q,
+                out);
+      break;
+  }
+}
+
 std::vector<double> SvmModel::DecisionValues(
     const std::vector<std::vector<double>>& rows) const {
-  // Flatten the query rows once, then stream both operands contiguously.
-  OBS_SPAN("svm.decision_values");
-  const std::size_t d =
-      rows.empty() ? dim_ : rows.front().size();
+  const std::size_t d = rows.empty() ? dim_ : rows.front().size();
   std::vector<double> q_flat;
   q_flat.reserve(rows.size() * d);
   for (const std::vector<double>& row : rows) {
@@ -153,26 +201,8 @@ std::vector<double> SvmModel::DecisionValues(
     }
     q_flat.insert(q_flat.end(), row.begin(), row.end());
   }
-  if (!coeff_.empty() && d != dim_) {
-    throw std::invalid_argument("DecisionValues: dimension mismatch");
-  }
-  // The kernel switch sits outside the loops: each case runs one inlined
-  // kernel over every (row, support vector) pair.
-  std::vector<double> out(rows.size(), bias_);
-  const double* sv = sv_flat_.data();
-  const double* q = q_flat.data();
-  switch (kernel_.type) {
-    case KernelType::kLinear:
-      ScoreRows(LinearTerms{}, sv, coeff_, d, q, out);
-      break;
-    case KernelType::kRbf:
-      ScoreRows(RbfTerms{kernel_.gamma}, sv, coeff_, d, q, out);
-      break;
-    case KernelType::kPolynomial:
-      ScoreRows(PolyTerms{kernel_.coef0, kernel_.degree}, sv, coeff_, d, q,
-                out);
-      break;
-  }
+  std::vector<double> out(rows.size());
+  DecisionValues(q_flat, d, out);
   return out;
 }
 

@@ -41,19 +41,26 @@ struct SvmConfig {
 /// A trained SVM: the support vectors, their alpha*y coefficients and bias.
 /// Support vectors are additionally stored as one contiguous row-major
 /// buffer so decision evaluation streams through memory instead of chasing
-/// per-vector allocations.
+/// per-vector allocations. A linear model also keeps its primal weights
+/// w = sum_i coeff_i * sv_i, computed once here, and scores bias + w.x.
 class SvmModel {
  public:
   SvmModel() = default;
   SvmModel(KernelConfig kernel, std::vector<std::vector<double>> support_x,
            std::vector<double> coeff, double bias);
 
-  /// Signed decision value; >= 0 classifies as +1.
+  /// Signed decision value; >= 0 classifies as +1. Linear: bias + w.x;
+  /// RBF and polynomial: bias + sum_i coeff_i * k(sv_i, x).
   double DecisionValue(std::span<const double> features) const;
 
-  /// Decision values for many rows: blocks of 4 rows share one pass over
+  /// Decision values of the out.size() rows of the row-major buffer `rows`
+  /// (out.size() x dim). Kernel models score blocks of 4 rows per pass over
   /// the flattened support vectors. Entry i is bit-identical to
-  /// DecisionValue(rows[i]).
+  /// DecisionValue(row i).
+  void DecisionValues(std::span<const double> rows, std::size_t dim,
+                      std::span<double> out) const;
+
+  /// The same for rows held one vector each.
   std::vector<double> DecisionValues(
       const std::vector<std::vector<double>>& rows) const;
 
@@ -81,6 +88,8 @@ class SvmModel {
   // Row-major (num_sv x dim) copy of support_x_ for contiguous evaluation.
   std::vector<double> sv_flat_;
   std::size_t dim_ = 0;
+  // Primal weights of a linear model (dim_ entries); empty otherwise.
+  std::vector<double> w_;
 };
 
 /// Trains an SVM on the dataset with simplified SMO.

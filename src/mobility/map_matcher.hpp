@@ -48,12 +48,14 @@ class MapMatcher {
   std::vector<MatchedRecord> MatchTrace(const GpsTrace& trace) const;
 
   /// Batched matching over `n` records via the SoA nearest-segment scan
-  /// (SpatialIndex::NearestSegments): appends matched records to `out` in
-  /// input order and returns how many matched. Match decisions are
-  /// identical to per-record MatchRecord calls; the region-sharded ingest
-  /// path (serve/stream_state.cpp) sorts each batch by grid cell first so
-  /// consecutive queries hit the same candidate block.
+  /// (SpatialIndex::NearestSegments): writes records[i]'s segment to
+  /// segments[i] (kInvalidSegment when unmatched), appends matched records
+  /// to `out` in input order and returns how many matched. Match decisions
+  /// are identical to per-record MatchRecord calls; the region-sharded
+  /// ingest path (serve/stream_state.cpp) sorts each batch by grid cell
+  /// first so consecutive queries hit the same candidate block.
   std::size_t MatchBatch(const GpsRecord* records, std::size_t n,
+                         roadnet::SegmentId* segments,
                          std::vector<MatchedRecord>* out) const;
 
   /// Builds per-person landmark trajectories from matched records (which

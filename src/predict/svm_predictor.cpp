@@ -1,6 +1,7 @@
 #include "predict/svm_predictor.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace mobirescue::predict {
@@ -12,7 +13,15 @@ SvmRequestPredictor::SvmRequestPredictor(const weather::FactorSampler& factors,
     : factors_(factors),
       scaler_(std::move(scaler)),
       model_(std::move(model)),
-      threshold_(threshold) {}
+      threshold_(threshold) {
+  // PredictDistribution indexes exactly kNumFactors values per row.
+  if (scaler_.dimension() != kNumFactors ||
+      (model_.num_support_vectors() != 0 &&
+       model_.dimension() != kNumFactors)) {
+    throw std::invalid_argument(
+        "SvmRequestPredictor: model does not take the 3 factors (P, W, A)");
+  }
+}
 
 SvmRequestPredictor::SvmRequestPredictor(
     const weather::FactorSampler& factors,
@@ -198,28 +207,52 @@ bool SvmRequestPredictor::PredictPerson(const util::GeoPoint& pos,
 
 Distribution SvmRequestPredictor::PredictDistribution(
     const std::vector<mobility::GpsRecord>& snapshot, util::SimTime t,
-    double time_offset, const roadnet::SpatialIndex& index) const {
-  // Scale every snapshot row first, then classify the whole batch in one
-  // DecisionValues pass; only positives are map-matched, in one batched
-  // NearestSegments call (id-for-id equal to the scalar NearestSegment).
-  std::vector<std::vector<double>> rows;
-  rows.reserve(snapshot.size());
-  for (const mobility::GpsRecord& r : snapshot) {
-    const weather::FactorVector h = factors_.At(r.pos, t + time_offset);
-    rows.push_back(scaler_.Transform(
-        std::vector<double>{h.precipitation_mm, h.wind_mph, h.altitude_m}));
+    double time_offset, const roadnet::SpatialIndex& index,
+    std::span<const roadnet::SegmentId> segments) const {
+  if (!segments.empty() && segments.size() != snapshot.size()) {
+    throw std::invalid_argument(
+        "PredictDistribution: segments not parallel to the snapshot");
   }
-  const std::vector<double> values = model_.DecisionValues(rows);
-  std::vector<util::GeoPoint> positives;
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    if (values[i] < threshold_) continue;
-    positives.push_back(snapshot[i].pos);
+  // Sample and z-score every snapshot row into one flat buffer, then
+  // classify the whole batch in one DecisionValues pass.
+  const std::size_t n = snapshot.size();
+  std::vector<double> rows(n * kNumFactors);
+  for (std::size_t i = 0; i < n; ++i) {
+    const weather::FactorVector h =
+        factors_.At(snapshot[i].pos, t + time_offset);
+    double* row = rows.data() + i * kNumFactors;
+    row[0] = h.precipitation_mm;
+    row[1] = h.wind_mph;
+    row[2] = h.altitude_m;
   }
-  std::vector<roadnet::SegmentId> segs(positives.size());
-  index.NearestSegments(positives.data(), positives.size(), -1.0,
-                        segs.data());
+  scaler_.TransformRows(rows);
+  std::vector<double> values(n);
+  model_.DecisionValues(rows, kNumFactors, values);
+
+  // A positive counts on its caller-matched segment when it has one. A
+  // bounded match that found a segment is the unbounded nearest one, so
+  // only the rest go through one batched, unbounded NearestSegments call
+  // (id-for-id equal to the scalar NearestSegment).
+  auto matched = [&](std::size_t i) {
+    return segments.empty() ? roadnet::kInvalidSegment : segments[i];
+  };
+  std::vector<util::GeoPoint> unmatched;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (values[i] < threshold_ || matched(i) != roadnet::kInvalidSegment) {
+      continue;
+    }
+    unmatched.push_back(snapshot[i].pos);
+  }
+  std::vector<roadnet::SegmentId> found(unmatched.size());
+  index.NearestSegments(unmatched.data(), unmatched.size(), -1.0,
+                        found.data());
+  // Counted in snapshot order, as the per-person reference would.
   Distribution dist;
-  for (const roadnet::SegmentId seg : segs) {
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (values[i] < threshold_) continue;
+    roadnet::SegmentId seg = matched(i);
+    if (seg == roadnet::kInvalidSegment) seg = found[next++];
     if (seg == roadnet::kInvalidSegment) continue;
     ++dist[seg];
   }

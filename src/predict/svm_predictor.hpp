@@ -9,6 +9,7 @@
 // (negative).
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +49,9 @@ struct SvmPredictorConfig {
 
 class SvmRequestPredictor {
  public:
+  /// The factor vector h = (P, W, A): the SVM's input dimension.
+  static constexpr std::size_t kNumFactors = 3;
+
   /// Builds training rows from a historical trace and trains the SVM.
   /// `deliveries` must come from the same trace (detector output);
   /// `trace` provides the negative-class position samples.
@@ -59,7 +63,9 @@ class SvmRequestPredictor {
 
   /// Restores an already-trained predictor from checkpointed parts
   /// (serve::ServiceCheckpoint): no training happens; validation() is
-  /// empty and training_rows() is 0.
+  /// empty and training_rows() is 0. Throws std::invalid_argument unless
+  /// the scaler, and the SVM when it has support vectors, take exactly the
+  /// kNumFactors factors.
   SvmRequestPredictor(const weather::FactorSampler& factors, ml::SvmModel model,
                       ml::FeatureScaler scaler, double threshold);
 
@@ -69,10 +75,15 @@ class SvmRequestPredictor {
 
   /// Equation (2): predicted distribution of potential rescue requests over
   /// road segments from a population snapshot. `time_offset` re-anchors the
-  /// snapshot's relative timestamps into scenario time.
+  /// snapshot's relative timestamps into scenario time. `segments`, when
+  /// not empty, runs parallel to the snapshot: a valid entry is the
+  /// person's nearest segment, already matched by the caller
+  /// (sim::PopulationSource::SnapshotSegments); positives without one are
+  /// matched here. The result is the same with or without it.
   Distribution PredictDistribution(
       const std::vector<mobility::GpsRecord>& snapshot, util::SimTime t,
-      double time_offset, const roadnet::SpatialIndex& index) const;
+      double time_offset, const roadnet::SpatialIndex& index,
+      std::span<const roadnet::SegmentId> segments = {}) const;
 
   /// Held-out confusion matrix built during training (20% split), at the
   /// calibrated threshold.

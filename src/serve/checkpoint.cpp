@@ -258,12 +258,15 @@ ServiceCheckpoint LoadCheckpoint(std::istream& is) {
   LoadDqn(ckpt.dqn, ckpt.dqn_weights, ckpt.dqn_target_weights, is);
   ckpt.svm = ml::LoadSvm(is);
   ckpt.svm_scaler = ml::LoadScaler(is);
-  // The predictor scales each factor row, then scores it with the SVM, so
-  // the two dimensions must agree (an SVM without support vectors has none).
-  if (ckpt.svm.num_support_vectors() != 0 &&
-      ckpt.svm.dimension() != ckpt.svm_scaler.mean().size()) {
+  // The predictor scales each (P, W, A) factor row into one flat buffer,
+  // then scores it with the SVM, so both must take exactly those factors
+  // (an SVM without support vectors has no dimension).
+  constexpr std::size_t kFactors = predict::SvmRequestPredictor::kNumFactors;
+  if (ckpt.svm_scaler.dimension() != kFactors ||
+      (ckpt.svm.num_support_vectors() != 0 &&
+       ckpt.svm.dimension() != kFactors)) {
     throw std::runtime_error(
-        "LoadCheckpoint: SVM and scaler dimensions differ");
+        "LoadCheckpoint: SVM or scaler does not take the 3 factors");
   }
   ckpt.svm_threshold = ReadDouble(is, "threshold");
   // Optional serving-state and learner sections; EOF here is a valid

@@ -73,40 +73,39 @@ StreamState::StreamState(const roadnet::RoadNetwork& net,
                   std::vector<std::vector<mobility::MatchedRecord>>(shards_));
 }
 
-bool StreamState::ApplyCore(const mobility::GpsRecord& record) {
+StreamState::Latest* StreamState::ApplyCore(
+    const mobility::GpsRecord& record) {
   if (config_.validate) {
     if (!AllFinite(record)) {
       ++counters_.quarantined_non_finite;
       quarantined_total_.Increment();
       quarantine_non_finite_.Increment();
       EmitQuarantine(record.person, "non_finite");
-      return false;
+      return nullptr;
     }
     if (config_.accept_box && !config_.accept_box->Contains(record.pos)) {
       ++counters_.quarantined_out_of_box;
       quarantined_total_.Increment();
       quarantine_out_of_box_.Increment();
       EmitQuarantine(record.person, "out_of_box");
-      return false;
+      return nullptr;
     }
   }
-  const auto [it, inserted] = latest_.try_emplace(record.person, record);
-  if (!inserted) {
-    // Strictly-older records are stale; equal timestamps overwrite, which
-    // is what the batch tracker's stable sort resolves to ("latest wins"
-    // among equal-time records) — required for bit-identity.
-    if (config_.validate && record.t < it->second.t) {
-      ++counters_.quarantined_stale;
-      quarantined_total_.Increment();
-      quarantine_stale_.Increment();
-      EmitQuarantine(record.person, "stale");
-      return false;
-    }
-    it->second = record;
+  const auto [it, inserted] = latest_.try_emplace(record.person);
+  // Strictly-older records are stale; equal timestamps overwrite, which is
+  // what the batch tracker's stable sort resolves to ("latest wins" among
+  // equal-time records) — required for bit-identity.
+  if (!inserted && config_.validate && record.t < it->second.record.t) {
+    ++counters_.quarantined_stale;
+    quarantined_total_.Increment();
+    quarantine_stale_.Increment();
+    EmitQuarantine(record.person, "stale");
+    return nullptr;
   }
+  it->second = {record, roadnet::kInvalidSegment};
   ++counters_.applied;
   dirty_ = true;
-  return true;
+  return &it->second;
 }
 
 void StreamState::Apply(const mobility::GpsRecord& record) {
@@ -114,9 +113,11 @@ void StreamState::Apply(const mobility::GpsRecord& record) {
     ApplyBatchSharded(&record, 1);
     return;
   }
-  if (!ApplyCore(record)) return;
+  Latest* latest = ApplyCore(record);
+  if (latest == nullptr) return;
   mobility::MatchedRecord m;
   if (matcher_.MatchRecord(record, &m)) {
+    latest->segment = m.segment;
     ++counters_.matched;
     flows_.Ingest(m);
   } else {
@@ -152,14 +153,17 @@ void StreamState::ApplyBatchSharded(const mobility::GpsRecord* records,
   for (int s = 0; s < shards_; ++s) {
     scratch_[s].bucket.clear();
     scratch_[s].bucket_cell.clear();
+    scratch_[s].bucket_latest.clear();
   }
   for (std::size_t i = 0; i < n; ++i) {
     const mobility::GpsRecord& r = records[i];
-    if (!ApplyCore(r)) continue;
+    Latest* latest = ApplyCore(r);
+    if (latest == nullptr) continue;
     const auto cell = static_cast<std::uint32_t>(index_.CellOf(r.pos));
     ShardScratch& sc = scratch_[cell_shard_[cell]];
     sc.bucket.push_back(r);
     sc.bucket_cell.push_back(cell);
+    sc.bucket_latest.push_back(latest);
   }
 
   // Phase B — per processing shard: group the bucket by grid cell so
@@ -168,7 +172,12 @@ void StreamState::ApplyBatchSharded(const mobility::GpsRecord* records,
   // Matching is per-record independent, so order changes nothing. The
   // grouping is a stable counting sort keyed by cell — one histogram, one
   // scatter — which leaves records in exactly the order a stable
-  // (cell, position) sort would.
+  // (cell, position) sort would. A record stores its match in its
+  // person's entry only while it sits at that entry's position: an
+  // earlier record of the same person elsewhere in this batch must not,
+  // and one at the same position matched the same segment. Equal
+  // positions share a cell, hence a shard, so no two threads write one
+  // entry.
   std::vector<std::uint64_t> matched_tally(shards_, 0);
   std::vector<std::uint64_t> unmatched_tally(shards_, 0);
   ForEachShard([&](int p) {
@@ -182,13 +191,24 @@ void StreamState::ApplyBatchSharded(const mobility::GpsRecord* records,
       sc.cell_start[c] += sc.cell_start[c - 1];
     }
     sc.grouped.resize(bn);
+    sc.grouped_latest.resize(bn);
     for (std::size_t i = 0; i < bn; ++i) {
-      sc.grouped[sc.cell_start[sc.bucket_cell[i]]++] = sc.bucket[i];
+      const std::uint32_t slot = sc.cell_start[sc.bucket_cell[i]]++;
+      sc.grouped[slot] = sc.bucket[i];
+      sc.grouped_latest[slot] = sc.bucket_latest[i];
     }
 
     sc.matched.clear();
     sc.matched.reserve(bn);
-    matcher_.MatchBatch(sc.grouped.data(), bn, &sc.matched);
+    sc.segment.resize(bn);
+    matcher_.MatchBatch(sc.grouped.data(), bn, sc.segment.data(),
+                        &sc.matched);
+    for (std::size_t i = 0; i < bn; ++i) {
+      Latest* latest = sc.grouped_latest[i];
+      if (latest->record.pos == sc.grouped[i].pos) {
+        latest->segment = sc.segment[i];
+      }
+    }
     matched_tally[p] = sc.matched.size();
     unmatched_tally[p] = bn - sc.matched.size();
     for (mobility::MatchedRecord& m : sc.matched) {
@@ -233,8 +253,13 @@ const std::vector<mobility::GpsRecord>& StreamState::Snapshot(
     util::SimTime /*t*/) {
   if (dirty_) {
     snapshot_.clear();
+    snapshot_segments_.clear();
     snapshot_.reserve(latest_.size());
-    for (const auto& [id, rec] : latest_) snapshot_.push_back(rec);
+    snapshot_segments_.reserve(latest_.size());
+    for (const auto& [id, latest] : latest_) {
+      snapshot_.push_back(latest.record);
+      snapshot_segments_.push_back(latest.segment);
+    }
     dirty_ = false;
   }
   return snapshot_;
@@ -243,7 +268,7 @@ const std::vector<mobility::GpsRecord>& StreamState::Snapshot(
 std::vector<mobility::GpsRecord> StreamState::ExportLatest() const {
   std::vector<mobility::GpsRecord> out;
   out.reserve(latest_.size());
-  for (const auto& [id, rec] : latest_) out.push_back(rec);
+  for (const auto& [id, latest] : latest_) out.push_back(latest.record);
   std::sort(out.begin(), out.end(),
             [](const mobility::GpsRecord& a, const mobility::GpsRecord& b) {
               return a.person < b.person;
@@ -282,7 +307,11 @@ void StreamState::Restore(
     const std::vector<std::uint64_t>& flow_seen) {
   latest_.clear();
   latest_.reserve(latest.size());
-  for (const mobility::GpsRecord& r : latest) latest_[r.person] = r;
+  // The checkpoint keeps no segments: the predictor matches these people
+  // itself until their next record arrives.
+  for (const mobility::GpsRecord& r : latest) {
+    latest_[r.person] = {r, roadnet::kInvalidSegment};
+  }
   counters_ = counters;
   if (shards_ == 1) {
     flows_.RestoreState(flow_cells, flow_seen);

@@ -7,6 +7,8 @@
 //   - each person's latest known position (the dispatcher's population
 //     snapshot: sim::PopulationSource),
 //   - the record's map-matched segment (mobility::MapMatcher::MatchRecord),
+//     kept next to the person's latest position for the predictor
+//     (SnapshotSegments),
 //   - per-(segment, hour) vehicle flow counts
 //     (mobility::FlowRateAnalyzer::Ingest single-record path, whose
 //     (person, segment, hour) dedup is order- and batching-independent).
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -119,6 +122,14 @@ class StreamState : public sim::PopulationSource {
   /// tracker's Snapshot(t).
   const std::vector<mobility::GpsRecord>& Snapshot(util::SimTime t) override;
 
+  /// Parallel to the last Snapshot(): the segment each person's latest
+  /// record matched to within config.match.max_match_distance_m, or
+  /// kInvalidSegment when it matched none or was restored (Restore keeps
+  /// no segments).
+  std::span<const roadnet::SegmentId> SnapshotSegments() const override {
+    return snapshot_segments_;
+  }
+
   /// Crash recovery (DESIGN.md §13): the latest-position map sorted by
   /// person id, and the flow analyzer's dedup/count state. The sharded
   /// path exports the merge of its per-shard analyzers — identical bytes
@@ -148,10 +159,18 @@ class StreamState : public sim::PopulationSource {
   int num_shards() const { return shards_; }
 
  private:
+  /// A person's latest applied record and the segment it matched to
+  /// (kInvalidSegment until matched, when unmatched, and after Restore).
+  struct Latest {
+    mobility::GpsRecord record;
+    roadnet::SegmentId segment = roadnet::kInvalidSegment;
+  };
+
   /// Validation + latest-position update for one record, sequential in
-  /// drain order (shared verbatim by both paths). True when the record
-  /// was applied and still needs matching/flow ingest.
-  bool ApplyCore(const mobility::GpsRecord& record);
+  /// drain order (shared verbatim by both paths). Returns the person's
+  /// entry when the record was applied and still needs matching/flow
+  /// ingest, nullptr when it was quarantined.
+  Latest* ApplyCore(const mobility::GpsRecord& record);
   void ApplyBatchSharded(const mobility::GpsRecord* records, std::size_t n);
   /// Runs `fn(shard)` for every shard, inline or on shard_workers threads.
   void ForEachShard(const std::function<void(int)>& fn) const;
@@ -177,15 +196,19 @@ class StreamState : public sim::PopulationSource {
   struct ShardScratch {
     std::vector<mobility::GpsRecord> bucket;  ///< phase A survivors
     std::vector<std::uint32_t> bucket_cell;   ///< grid cell per survivor
+    std::vector<Latest*> bucket_latest;       ///< person entry per survivor
     std::vector<std::uint32_t> cell_start;    ///< counting-sort offsets
     std::vector<mobility::GpsRecord> grouped;
+    std::vector<Latest*> grouped_latest;
+    std::vector<roadnet::SegmentId> segment;  ///< match per grouped record
     std::vector<mobility::MatchedRecord> matched;
   };
   std::vector<ShardScratch> scratch_;
   std::vector<std::vector<std::vector<mobility::MatchedRecord>>> handoff_;
 
-  std::unordered_map<mobility::PersonId, mobility::GpsRecord> latest_;
+  std::unordered_map<mobility::PersonId, Latest> latest_;
   std::vector<mobility::GpsRecord> snapshot_;
+  std::vector<roadnet::SegmentId> snapshot_segments_;
   bool dirty_ = true;
 
   // Registry-backed quarantine tallies (one aggregate + one per reason).

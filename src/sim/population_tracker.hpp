@@ -4,10 +4,12 @@
 // Section III).
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "mobility/gps_record.hpp"
+#include "roadnet/road_network.hpp"
 
 namespace mobirescue::sim {
 
@@ -25,6 +27,11 @@ class PopulationSource {
   /// Advances to time t and returns every person's latest position at or
   /// before t. The returned reference is valid until the next call.
   virtual const std::vector<mobility::GpsRecord>& Snapshot(util::SimTime t) = 0;
+
+  /// Parallel to the last Snapshot(): the segment the source map-matched
+  /// each row's record to, kInvalidSegment where it has none. Empty when
+  /// the source does not map-match. Valid until the next Snapshot().
+  virtual std::span<const roadnet::SegmentId> SnapshotSegments() const = 0;
 };
 
 class PopulationTracker : public PopulationSource {
@@ -37,12 +44,16 @@ class PopulationTracker : public PopulationSource {
   /// before t. The returned reference is valid until the next call.
   const std::vector<mobility::GpsRecord>& Snapshot(util::SimTime t) override;
 
+  /// Empty: the batch tracker does not map-match.
+  std::span<const roadnet::SegmentId> SnapshotSegments() const override {
+    return {};
+  }
+
   std::size_t num_people_seen() const { return latest_.size(); }
 
  private:
   mobility::GpsTrace records_;  // sorted by time
   std::size_t cursor_ = 0;
-  std::unordered_map<mobility::PersonId, std::size_t> latest_index_;
   std::unordered_map<mobility::PersonId, mobility::GpsRecord> latest_;
   std::vector<mobility::GpsRecord> snapshot_;
   double snapshot_time_ = -1.0;

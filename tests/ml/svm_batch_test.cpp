@@ -1,11 +1,16 @@
 // Parity tests for the SVM fast paths: batched DecisionValues must be
-// bit-identical to per-row DecisionValue for every kernel type, and SMO
-// with the error cache must train models equivalent in quality to the
+// bit-identical to per-row DecisionValue for every kernel type, a linear
+// model's primal bias + w.x must agree with its support-vector sum, and
+// SMO with the error cache must train models equivalent in quality to the
 // scalar recompute-everything reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "ml/serialize.hpp"
 #include "ml/svm/svm.hpp"
 #include "util/rng.hpp"
 
@@ -41,11 +46,45 @@ TEST_P(SvmBatchKernelTest, DecisionValuesMatchPerRowBitwise) {
       rows.push_back({rng.Uniform(-3, 3), rng.Uniform(-3, 3)});
     }
     const std::vector<double> batched = model.DecisionValues(rows);
+    std::vector<double> flat;
+    for (const std::vector<double>& row : rows) {
+      flat.insert(flat.end(), row.begin(), row.end());
+    }
+    std::vector<double> from_flat(n);
+    model.DecisionValues(flat, 2, from_flat);
     ASSERT_EQ(batched.size(), rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       ASSERT_EQ(batched[i], model.DecisionValue(rows[i]))
           << KernelName(GetParam()) << " n " << n << " row " << i;
+      ASSERT_EQ(from_flat[i], batched[i])
+          << KernelName(GetParam()) << " n " << n << " row " << i;
     }
+  }
+}
+
+TEST_P(SvmBatchKernelTest, SaveLoadRoundTripKeepsDecisionValuesBitwise) {
+  // The text format stores the support vectors, not w: a loaded linear
+  // model folds its primal weights again and must land on the same bits.
+  util::Rng rng(46);
+  const SvmDataset data = TwoBlobs(70, rng);
+  SvmConfig config;
+  config.kernel.type = GetParam();
+  const SvmModel model = TrainSvm(data, config);
+  ASSERT_GT(model.num_support_vectors(), 0u);
+  std::stringstream ss;
+  SaveSvm(model, ss);
+  const SvmModel loaded = LoadSvm(ss);
+
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 50; ++i) {
+    rows.push_back({rng.Uniform(-3, 3), rng.Uniform(-3, 3)});
+  }
+  const std::vector<double> want = model.DecisionValues(rows);
+  const std::vector<double> got = loaded.DecisionValues(rows);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << KernelName(GetParam()) << " row " << i;
+    ASSERT_EQ(loaded.DecisionValue(rows[i]), model.DecisionValue(rows[i]))
+        << KernelName(GetParam()) << " row " << i;
   }
 }
 
@@ -64,6 +103,86 @@ TEST(SvmBatchTest, DecisionValuesHandlesEmptyAndSingleRow) {
   const std::vector<double> values = model.DecisionValues(one);
   ASSERT_EQ(values.size(), 1u);
   EXPECT_EQ(values[0], model.DecisionValue(one[0]));
+}
+
+TEST(SvmBatchTest, LinearPrimalAgreesWithSupportVectorSum) {
+  // bias + w.x regroups sum_i coeff_i * (sv_i . x): equal in exact
+  // arithmetic, within rounding of the summed terms in floating point.
+  util::Rng rng(47);
+  SvmDataset data;
+  for (int i = 0; i < 120; ++i) {
+    const int label = i % 2 == 0 ? 1 : -1;
+    data.Add({label * 0.8 + rng.Normal(0, 1.0), rng.Normal(0, 1.0),
+              -label * 0.5 + rng.Normal(0, 1.0)},
+             label);
+  }
+  SvmConfig config;
+  config.kernel.type = KernelType::kLinear;
+  config.c = 2.0;
+  const SvmModel model = TrainSvm(data, config);
+  ASSERT_GT(model.num_support_vectors(), 10u);
+
+  for (int i = 0; i < 500; ++i) {
+    const std::vector<double> x = {rng.Uniform(-4, 4), rng.Uniform(-4, 4),
+                                   rng.Uniform(-4, 4)};
+    // The reference: the support-vector sum, term by term.
+    double sum = model.bias();
+    double scale = std::abs(model.bias());
+    for (std::size_t k = 0; k < model.num_support_vectors(); ++k) {
+      const double term =
+          model.coefficient(k) *
+          EvalKernel(model.kernel(), model.support_vector(k), x);
+      sum += term;
+      scale += std::abs(term);
+    }
+    EXPECT_NEAR(model.DecisionValue(x), sum, 1e-12 * scale) << "row " << i;
+  }
+}
+
+TEST(SvmBatchTest, NoSupportVectorsScoresEveryRowAtTheBias) {
+  // A bias-only model (e.g. trained on one row) has no dimension of its
+  // own: every entry point must still score each row, at the bias.
+  for (const KernelType type :
+       {KernelType::kLinear, KernelType::kRbf, KernelType::kPolynomial}) {
+    KernelConfig kernel;
+    kernel.type = type;
+    const SvmModel model(kernel, {}, {}, -0.625);
+    EXPECT_EQ(model.dimension(), 0u);
+    const std::vector<double> x = {1.5, -2.0, 0.25};
+    EXPECT_EQ(model.DecisionValue(x), -0.625) << KernelName(type);
+    EXPECT_EQ(model.Predict(x), -1) << KernelName(type);
+
+    const std::vector<std::vector<double>> rows(5, x);
+    const std::vector<double> batched = model.DecisionValues(rows);
+    std::vector<double> flat;
+    for (const std::vector<double>& row : rows) {
+      flat.insert(flat.end(), row.begin(), row.end());
+    }
+    std::vector<double> from_flat(rows.size(), 0.0);
+    model.DecisionValues(flat, 3, from_flat);
+    ASSERT_EQ(batched.size(), rows.size()) << KernelName(type);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(batched[i], -0.625) << KernelName(type) << " row " << i;
+      EXPECT_EQ(from_flat[i], -0.625) << KernelName(type) << " row " << i;
+    }
+  }
+}
+
+TEST(SvmBatchTest, FlatDecisionValuesRejectsMismatchedBuffers) {
+  util::Rng rng(48);
+  const SvmDataset data = TwoBlobs(30, rng);
+  SvmConfig config;
+  config.kernel.type = KernelType::kLinear;
+  const SvmModel model = TrainSvm(data, config);
+  const std::vector<double> flat = {0.1, 0.2, 0.3, 0.4, 0.5};
+  std::vector<double> out(2);
+  // 5 values are not 2 rows of 2.
+  EXPECT_THROW(model.DecisionValues(flat, 2, out), std::invalid_argument);
+  // 2 rows of 3 do not fit a 2-feature model.
+  const std::vector<double> wide = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  EXPECT_THROW(model.DecisionValues(wide, 3, out), std::invalid_argument);
+  const std::vector<double> short_row = {0.1};
+  EXPECT_THROW(model.DecisionValue(short_row), std::invalid_argument);
 }
 
 TEST(SvmBatchTest, DecisionValuesRejectsRaggedRows) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <stdexcept>
+
 #include "core/pipeline.hpp"
 #include "core/world.hpp"
+#include "serve/stream_state.hpp"
 
 namespace mobirescue::predict {
 namespace {
@@ -109,6 +114,52 @@ TEST_F(SvmPredictorTest, DistributionMatchesPerPersonReference) {
   }
   EXPECT_GT(positives, 0u);
   EXPECT_GT(negatives, 0u);
+}
+
+TEST_F(SvmPredictorTest, StreamedSegmentsGiveTheSameDistribution) {
+  // The service hands the predictor StreamState's 400 m map-match of each
+  // latest record; counting on those segments must give exactly what
+  // matching every positive here gives, whichever entries are missing.
+  const auto& spec = world_->eval.spec;
+  const mobility::GpsTrace& trace = world_->eval.trace.records;
+  serve::StreamState state(world_->city->network, *world_->index);
+  const std::size_t half = trace.size() / 2;
+  state.ApplyBatch(trace.data(), half);
+  const std::vector<mobility::GpsRecord> snapshot = state.Snapshot(0.0);
+  const std::vector<roadnet::SegmentId> segments(
+      state.SnapshotSegments().begin(), state.SnapshotSegments().end());
+  ASSERT_EQ(segments.size(), snapshot.size());
+  ASSERT_GT(std::count_if(segments.begin(), segments.end(),
+                          [](roadnet::SegmentId s) {
+                            return s != roadnet::kInvalidSegment;
+                          }),
+            0);
+  // Every other entry dropped: those people are matched by the predictor.
+  std::vector<roadnet::SegmentId> partial = segments;
+  for (std::size_t i = 0; i < partial.size(); i += 2) {
+    partial[i] = roadnet::kInvalidSegment;
+  }
+  std::size_t counted = 0;
+  for (const util::SimTime at :
+       {0.0, spec.storm.storm_peak_s, spec.storm.storm_end_s}) {
+    const Distribution plain = predictor_->PredictDistribution(
+        snapshot, 600.0, at - 600.0, *world_->index);
+    counted += plain.size();
+    EXPECT_EQ(predictor_->PredictDistribution(snapshot, 600.0, at - 600.0,
+                                              *world_->index, segments),
+              plain)
+        << "at " << at;
+    EXPECT_EQ(predictor_->PredictDistribution(snapshot, 600.0, at - 600.0,
+                                              *world_->index, partial),
+              plain)
+        << "at " << at;
+  }
+  EXPECT_GT(counted, 0u);
+  // Segments not parallel to the snapshot are a caller bug.
+  EXPECT_THROW(predictor_->PredictDistribution(
+                   snapshot, 600.0, 0.0, *world_->index,
+                   std::span<const roadnet::SegmentId>(segments).first(1)),
+               std::invalid_argument);
 }
 
 TEST_F(SvmPredictorTest, EmptySnapshotEmptyDistribution) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <vector>
 
 #include "roadnet/city_builder.hpp"
@@ -116,6 +117,55 @@ TEST_F(SpatialIndexTest, BatchedQueriesMatchScalarIdForId) {
           << "radius " << radius << " point " << i;
     }
   }
+}
+
+TEST_F(SpatialIndexTest, BoundedSearchFindsTheUnboundedNearestOrNothing) {
+  // A radius only adds an exit taken while nothing has been found, so a
+  // bounded search that does find a segment scanned exactly the unbounded
+  // search's rings and returns its segment. StreamState's 400 m map-match
+  // is reused as the predictor's unbounded match on this property.
+  util::Rng rng(23);
+  std::vector<util::GeoPoint> pts;
+  for (int i = 0; i < 900; ++i) {
+    const RoadSegment& seg =
+        city_.network.segment(static_cast<SegmentId>(
+            rng.Index(city_.network.num_segments())));
+    const util::GeoPoint a = city_.network.landmark(seg.from).pos;
+    const util::GeoPoint b = city_.network.landmark(seg.to).pos;
+    const double u = rng.Uniform(0.0, 1.0);
+    util::GeoPoint p{a.lat + u * (b.lat - a.lat), a.lon + u * (b.lon - a.lon)};
+    if (i % 3 == 1) {
+      // Up to 2 km off the road, in any direction.
+      const double d = rng.Uniform(0.0, 2000.0);
+      const double bearing = rng.Uniform(0.0, 2.0 * std::numbers::pi);
+      p.lat += d * std::cos(bearing) / 111320.0;
+      p.lon += d * std::sin(bearing) /
+               (111320.0 * std::cos(p.lat * std::numbers::pi / 180.0));
+    } else if (i % 3 == 2) {
+      // Outside the box (clamped into its border cells).
+      const double x = rng.Uniform(0.0, 1.0);
+      const double off = rng.Uniform(1.01, 1.5);
+      p = i % 2 == 0 ? city_.box.At(x, off) : city_.box.At(1.0 - off, x);
+    }
+    pts.push_back(p);
+  }
+  std::vector<SegmentId> unbounded(pts.size()), bounded(pts.size());
+  index_->NearestSegments(pts.data(), pts.size(), -1.0, unbounded.data());
+  index_->NearestSegments(pts.data(), pts.size(), 400.0, bounded.data());
+  std::size_t found = 0, missed = 0;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    ASSERT_NE(unbounded[i], kInvalidSegment) << "point " << i;
+    const SegmentId scalar = index_->NearestSegment(pts[i], 400.0);
+    ASSERT_EQ(scalar, bounded[i]) << "point " << i;
+    if (bounded[i] == kInvalidSegment) {
+      ++missed;
+    } else {
+      ++found;
+      ASSERT_EQ(bounded[i], unbounded[i]) << "point " << i;
+    }
+  }
+  EXPECT_GT(found, 300u);
+  EXPECT_GT(missed, 100u);
 }
 
 TEST_F(SpatialIndexTest, CellMappingIsConsistent) {

@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "roadnet/city_builder.hpp"
 #include "util/rng.hpp"
+#include "weather/disaster_factors.hpp"
+#include "weather/weather_field.hpp"
 
 namespace mobirescue::serve {
 namespace {
@@ -135,6 +138,43 @@ TEST(CheckpointTest, SvmScalerDimensionMismatchRejected) {
   std::stringstream ss;
   SaveCheckpoint(ckpt, ss);
   EXPECT_THROW(LoadCheckpoint(ss), std::runtime_error);
+}
+
+TEST(CheckpointTest, SvmFactorCountMismatchRejected) {
+  // The predictor's flat refresh indexes exactly (P, W, A) per row, so an
+  // SVM and scaler that agree with each other on any other dimension are
+  // rejected too: by the loader, and by the restoring predictor.
+  const weather::WeatherField field(util::kCharlotteCropBox,
+                                    weather::StormConfig{});
+  const roadnet::TerrainModel terrain;
+  const weather::FactorSampler factors(field, terrain);
+  for (const std::size_t dim : {2u, 4u}) {
+    ServiceCheckpoint ckpt = HandMadeCheckpoint();
+    std::vector<std::vector<double>> sv(2, std::vector<double>(dim));
+    sv[0][0] = 0.5;
+    sv[1][dim - 1] = -1.25;
+    ckpt.svm = ml::SvmModel(ckpt.svm.kernel(), sv, {0.75, -0.5}, 0.125);
+    ml::FeatureScaler scaler;
+    scaler.Restore(std::vector<double>(dim, 1.0),
+                   std::vector<double>(dim, 2.0));
+    ckpt.svm_scaler = scaler;
+
+    std::stringstream ss;
+    SaveCheckpoint(ckpt, ss);
+    EXPECT_THROW(LoadCheckpoint(ss), std::runtime_error) << "dim " << dim;
+    EXPECT_THROW(predict::SvmRequestPredictor(factors, ckpt.svm,
+                                              ckpt.svm_scaler, 0.0),
+                 std::invalid_argument)
+        << "dim " << dim;
+  }
+  // A bias-only SVM has no dimension; the 3-factor scaler decides.
+  ServiceCheckpoint bias_only = HandMadeCheckpoint();
+  bias_only.svm = ml::SvmModel(bias_only.svm.kernel(), {}, {}, 0.5);
+  std::stringstream ss;
+  SaveCheckpoint(bias_only, ss);
+  const ServiceCheckpoint loaded = LoadCheckpoint(ss);
+  EXPECT_NO_THROW(predict::SvmRequestPredictor(factors, loaded.svm,
+                                               loaded.svm_scaler, 0.0));
 }
 
 TEST(CheckpointTest, FileRoundTrip) {

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -117,9 +119,98 @@ class RegionShardTest : public ::testing::Test {
     }
   }
 
+  /// Checks every SnapshotSegments() entry against the unbounded nearest
+  /// segment of its row's position (kInvalidSegment is always allowed) and
+  /// against `want` (person -> segment) where given. Returns the number of
+  /// valid entries.
+  std::size_t ExpectSegmentsExact(
+      StreamState& state,
+      const std::unordered_map<mobility::PersonId, roadnet::SegmentId>&
+          want = {}) const {
+    const auto& snap = state.Snapshot(0.0);
+    const std::span<const roadnet::SegmentId> segs = state.SnapshotSegments();
+    EXPECT_EQ(segs.size(), snap.size());
+    if (segs.size() != snap.size()) return 0;
+    std::vector<util::GeoPoint> pts;
+    for (const mobility::GpsRecord& r : snap) pts.push_back(r.pos);
+    std::vector<roadnet::SegmentId> nearest(pts.size());
+    index_->NearestSegments(pts.data(), pts.size(), -1.0, nearest.data());
+    std::size_t valid = 0;
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      const auto it = want.find(snap[i].person);
+      if (it != want.end()) {
+        EXPECT_EQ(segs[i], it->second) << "person " << snap[i].person;
+      }
+      if (segs[i] == roadnet::kInvalidSegment) continue;
+      ++valid;
+      EXPECT_EQ(segs[i], nearest[i]) << "person " << snap[i].person;
+    }
+    return valid;
+  }
+
+  /// Two records per person at one timestamp later than any RandomTrace
+  /// record, at two random box positions: an equal-timestamp overwrite
+  /// inside one batch, usually across shards. Fills `want` with the
+  /// second record's bounded match, which must win.
+  mobility::GpsTrace OverwriteBatch(
+      int people, double t, std::uint64_t seed,
+      std::unordered_map<mobility::PersonId, roadnet::SegmentId>* want)
+      const {
+    util::Rng rng(seed);
+    mobility::GpsTrace batch;
+    for (int p = 0; p < people; ++p) {
+      for (int k = 0; k < 2; ++k) {
+        mobility::GpsRecord r;
+        r.person = p;
+        r.t = t;
+        r.pos = city_.box.At(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0));
+        batch.push_back(r);
+      }
+      (*want)[p] = index_->NearestSegment(batch.back().pos, 400.0);
+    }
+    return batch;
+  }
+
   roadnet::City city_;
   std::unique_ptr<roadnet::SpatialIndex> index_;
 };
+
+TEST_F(RegionShardTest, SnapshotSegmentsAreTheUnboundedNearestOrInvalid) {
+  // Each person's latest record keeps the segment its apply path matched
+  // within 400 m, on the single and the sharded path alike, and a
+  // restored state keeps none until a person's next record.
+  const mobility::GpsTrace trace = RandomTrace(1500, 6, 77);
+  std::unordered_map<mobility::PersonId, roadnet::SegmentId> want;
+  const mobility::GpsTrace overwrite = OverwriteBatch(300, 1e5, 78, &want);
+  std::size_t want_invalid = 0;
+  for (const auto& [person, seg] : want) {
+    want_invalid += seg == roadnet::kInvalidSegment ? 1 : 0;
+  }
+  ASSERT_GT(want_invalid, 0u);  // some latest records match no road
+  ASSERT_LT(want_invalid, want.size());
+
+  for (const auto& [shards, workers] : {std::pair{1, 0}, std::pair{4, 2}}) {
+    StreamState state(city_.network, *index_, ShardedConfig(shards, workers));
+    Feed(state, trace);
+    state.ApplyBatch(overwrite.data(), overwrite.size());
+    const std::size_t valid = ExpectSegmentsExact(state, want);
+    EXPECT_GT(valid, 0u) << "shards " << shards;
+    EXPECT_LT(valid, state.num_people_seen()) << "shards " << shards;
+
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> cells;
+    std::vector<std::uint64_t> seen;
+    state.ExportFlowState(&cells, &seen);
+    StreamState restored(city_.network, *index_,
+                         ShardedConfig(shards, workers));
+    restored.Restore(state.ExportLatest(), state.counters(), cells, seen);
+    EXPECT_EQ(ExpectSegmentsExact(restored), 0u) << "shards " << shards;
+    std::unordered_map<mobility::PersonId, roadnet::SegmentId> want_next;
+    const mobility::GpsTrace next = OverwriteBatch(300, 2e5, 79, &want_next);
+    restored.ApplyBatch(next.data(), next.size());
+    EXPECT_GT(ExpectSegmentsExact(restored, want_next), 0u)
+        << "shards " << shards;
+  }
+}
 
 TEST_F(RegionShardTest, ShardedStateBitIdenticalToSingle) {
   const mobility::GpsTrace trace = RandomTrace(3000, 8, 99);

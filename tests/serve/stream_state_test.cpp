@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -54,6 +55,38 @@ class StreamStateTest : public ::testing::Test {
                 return a.t < b.t;
               });
     return trace;
+  }
+
+  /// Checks that every SnapshotSegments() entry is kInvalidSegment or the
+  /// unbounded nearest segment of its row's position; returns the number
+  /// of valid entries.
+  std::size_t ExpectSegmentsExact(StreamState& state) const {
+    const auto& snap = state.Snapshot(0.0);
+    const std::span<const roadnet::SegmentId> segs = state.SnapshotSegments();
+    EXPECT_EQ(segs.size(), snap.size());
+    if (segs.size() != snap.size()) return 0;
+    std::vector<util::GeoPoint> pts;
+    for (const mobility::GpsRecord& r : snap) pts.push_back(r.pos);
+    std::vector<roadnet::SegmentId> nearest(pts.size());
+    index_->NearestSegments(pts.data(), pts.size(), -1.0, nearest.data());
+    std::size_t valid = 0;
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      if (segs[i] == roadnet::kInvalidSegment) continue;
+      ++valid;
+      EXPECT_EQ(segs[i], nearest[i]) << "person " << snap[i].person;
+    }
+    return valid;
+  }
+
+  /// The segment SnapshotSegments() holds for `person`.
+  static roadnet::SegmentId SegmentOf(StreamState& state,
+                                      mobility::PersonId person) {
+    const auto& snap = state.Snapshot(0.0);
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      if (snap[i].person == person) return state.SnapshotSegments()[i];
+    }
+    ADD_FAILURE() << "person " << person << " not in the snapshot";
+    return roadnet::kInvalidSegment;
   }
 
   roadnet::City city_;
@@ -272,6 +305,48 @@ TEST_F(StreamStateTest, ExportRestoreRoundTrip) {
         before[seg])
         << "seg=" << seg;
   }
+}
+
+TEST_F(StreamStateTest, SnapshotSegmentsAreTheUnboundedNearestOrInvalid) {
+  StreamState state(city_.network, *index_);
+  state.ApplyAll(SyntheticDay());
+
+  // A record far outside the city: no road within the 400 m match radius.
+  mobility::GpsRecord far = At(100, 10.0, 0);
+  far.pos = city_.box.At(-0.8, -0.8);
+  ASSERT_EQ(index_->NearestSegment(far.pos, 400.0), roadnet::kInvalidSegment);
+  state.Apply(far);
+  // Equal-timestamp overwrites at different positions: the later record
+  // wins, with its own match.
+  state.Apply(At(101, 20.0, 3));
+  mobility::GpsRecord overwrite_far = far;
+  overwrite_far.person = 101;
+  overwrite_far.t = 20.0;
+  state.Apply(overwrite_far);
+  mobility::GpsRecord far_then_road = far;
+  far_then_road.person = 102;
+  far_then_road.t = 30.0;
+  state.Apply(far_then_road);
+  state.Apply(At(102, 30.0, 5));
+
+  EXPECT_GT(ExpectSegmentsExact(state), 0u);
+  EXPECT_EQ(SegmentOf(state, 100), roadnet::kInvalidSegment);
+  EXPECT_EQ(SegmentOf(state, 101), roadnet::kInvalidSegment);
+  EXPECT_EQ(SegmentOf(state, 102),
+            index_->NearestSegment(city_.network.landmark(5).pos));
+  EXPECT_NE(SegmentOf(state, 102), roadnet::kInvalidSegment);
+
+  // A restored state holds no segments until each person's next record.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> cells;
+  std::vector<std::uint64_t> seen;
+  state.ExportFlowState(&cells, &seen);
+  StreamState restored(city_.network, *index_);
+  restored.Restore(state.ExportLatest(), state.counters(), cells, seen);
+  EXPECT_EQ(ExpectSegmentsExact(restored), 0u);
+  restored.Apply(At(1, 1e6, 7));
+  EXPECT_EQ(ExpectSegmentsExact(restored), 1u);
+  EXPECT_EQ(SegmentOf(restored, 1),
+            index_->NearestSegment(city_.network.landmark(7).pos));
 }
 
 TEST_F(StreamStateTest, RestoreRejectsCorruptFlowState) {
