@@ -1,10 +1,11 @@
 #include "learn/learner.hpp"
 
 #include <cstdlib>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "util/text_writer.hpp"
 
 namespace mobirescue::learn {
 
@@ -12,8 +13,10 @@ namespace {
 
 constexpr char kLearnMagic[] = "mobirescue-learn-v1";
 constexpr char kLearnEnd[] = "mobirescue-learn-end";
-/// Upper bound on any serialised count; rejects absurd sizes before they
-/// turn into allocations (same hardening stance as serve/checkpoint.cpp).
+/// Upper bound on any serialised count (same hardening stance as
+/// serve/checkpoint.cpp). A count never sizes an allocation: containers
+/// grow as their elements are read, so a short input fails at its first
+/// missing token.
 constexpr std::size_t kMaxCount = 1u << 24;
 
 std::uint64_t SplitMix64(std::uint64_t x) {
@@ -68,7 +71,7 @@ std::size_t ReadCount(std::istream& in, std::size_t max = kMaxCount) {
   return static_cast<std::size_t>(v);
 }
 
-void WriteVector(std::ostream& out, const std::vector<double>& v) {
+void WriteVector(util::TextWriter& out, const std::vector<double>& v) {
   out << v.size();
   for (const double x : v) out << ' ' << x;
   out << '\n';
@@ -76,12 +79,12 @@ void WriteVector(std::ostream& out, const std::vector<double>& v) {
 
 std::vector<double> ReadVector(std::istream& in) {
   const std::size_t n = ReadCount(in);
-  std::vector<double> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = ReadDouble(in);
+  std::vector<double> v;
+  for (std::size_t i = 0; i < n; ++i) v.push_back(ReadDouble(in));
   return v;
 }
 
-void WriteTransition(std::ostream& out, const rl::Transition& t) {
+void WriteTransition(util::TextWriter& out, const rl::Transition& t) {
   out << "t " << t.reward << ' ' << (t.terminal ? 1 : 0) << ' '
       << t.duration_rounds << ' ';
   WriteVector(out, t.features);
@@ -97,8 +100,9 @@ rl::Transition ReadTransition(std::istream& in) {
   t.duration_rounds = static_cast<int>(ReadU64(in));
   t.features = ReadVector(in);
   const std::size_t n = ReadCount(in);
-  t.next_candidates.resize(n);
-  for (std::size_t i = 0; i < n; ++i) t.next_candidates[i] = ReadVector(in);
+  for (std::size_t i = 0; i < n; ++i) {
+    t.next_candidates.push_back(ReadVector(in));
+  }
   return t;
 }
 
@@ -171,8 +175,7 @@ LearnMetrics OnlineLearner::metrics() const {
 }
 
 std::string OnlineLearner::SaveStateString() const {
-  std::ostringstream out;
-  out << std::setprecision(17);
+  util::TextWriter out;
   out << kLearnMagic << '\n';
   out << "ticks " << ticks_ << '\n';
 
@@ -224,7 +227,7 @@ std::string OnlineLearner::SaveStateString() const {
   WriteVector(out, snap.rollback_target);
 
   out << kLearnEnd << '\n';
-  return out.str();
+  return out.Release();
 }
 
 void OnlineLearner::LoadStateString(const std::string& blob) {
@@ -247,24 +250,29 @@ void OnlineLearner::LoadStateString(const std::string& blob) {
   candidate_->LoadTrainerState(in);
 
   ExpectToken(in, "buffer");
-  const std::size_t buf_size = ReadCount(in);
+  // Bounded by the candidate's capacity before any transition is read
+  // (ReplayBuffer::Restore checks it only after the whole buffer).
+  const std::size_t buf_size = ReadCount(in, candidate_->buffer().capacity());
   const std::size_t cursor = ReadCount(in);
   const std::uint64_t pushes = ReadU64(in);
   const std::uint64_t evictions = ReadU64(in);
-  std::vector<rl::Transition> data(buf_size);
-  for (std::size_t i = 0; i < buf_size; ++i) data[i] = ReadTransition(in);
+  std::vector<rl::Transition> data;
+  for (std::size_t i = 0; i < buf_size; ++i) {
+    data.push_back(ReadTransition(in));
+  }
   candidate_->mutable_buffer().Restore(std::move(data), cursor, pushes,
                                        evictions);
 
   ExpectToken(in, "collector");
   const std::size_t teams = ReadCount(in);
-  std::vector<ExperienceCollector::Pending> pending(teams);
+  std::vector<ExperienceCollector::Pending> pending;
   for (std::size_t i = 0; i < teams; ++i) {
-    pending[i].valid = ReadU64(in) != 0;
-    pending[i].is_standdown = ReadU64(in) != 0;
-    pending[i].accumulated = ReadDouble(in);
-    pending[i].rounds = static_cast<int>(ReadU64(in));
-    pending[i].features = ReadVector(in);
+    ExperienceCollector::Pending& p = pending.emplace_back();
+    p.valid = ReadU64(in) != 0;
+    p.is_standdown = ReadU64(in) != 0;
+    p.accumulated = ReadDouble(in);
+    p.rounds = static_cast<int>(ReadU64(in));
+    p.features = ReadVector(in);
   }
   ExpectToken(in, "collector-counters");
   const std::uint64_t transitions = ReadU64(in);
@@ -305,9 +313,8 @@ void OnlineLearner::LoadStateString(const std::string& blob) {
   snap.last_candidate_td = ReadDouble(in);
   ExpectToken(in, "promotion-ticks");
   const std::size_t n_promos = ReadCount(in);
-  snap.promotion_ticks.resize(n_promos);
   for (std::size_t i = 0; i < n_promos; ++i) {
-    snap.promotion_ticks[i] = ReadU64(in);
+    snap.promotion_ticks.push_back(ReadU64(in));
   }
   ExpectToken(in, "evidence");
   const std::size_t n_evidence = ReadCount(in);

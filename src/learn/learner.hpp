@@ -18,6 +18,9 @@
 // checkpoint as an opaque `mobirescue-learn-v1 ... mobirescue-learn-end`
 // token blob (SaveStateString/LoadStateString), so a crash-recovered
 // service resumes training, evaluation, and promotion bit-identically.
+// The blob is built in one util::TextWriter (shortest round-trip doubles;
+// the reader's strtod takes those and older max_digits10 digits alike),
+// and no count read back sizes an allocation before its elements are read.
 #pragma once
 
 #include <cstdint>

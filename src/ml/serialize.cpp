@@ -1,7 +1,6 @@
 #include "ml/serialize.hpp"
 
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -35,20 +34,26 @@ KernelType KernelFromInt(int v) {
 
 }  // namespace
 
-void SaveSvm(const SvmModel& model, std::ostream& os) {
-  os << kSvmMagic << "\n";
+void SaveSvm(const SvmModel& model, util::TextWriter& out) {
+  out << kSvmMagic << '\n';
   const KernelConfig& k = model.kernel();
-  os << KernelToInt(k.type) << " " << std::setprecision(17) << k.gamma << " "
-     << k.degree << " " << k.coef0 << "\n";
+  out << KernelToInt(k.type) << ' ' << k.gamma << ' ' << k.degree << ' '
+      << k.coef0 << '\n';
   // Reconstruct the SV table through the decision interface is not
   // possible; SvmModel exposes its internals for this purpose.
-  os << model.num_support_vectors() << " " << model.dimension() << " "
-     << model.bias() << "\n";
+  out << model.num_support_vectors() << ' ' << model.dimension() << ' '
+      << model.bias() << '\n';
   for (std::size_t i = 0; i < model.num_support_vectors(); ++i) {
-    os << model.coefficient(i);
-    for (double v : model.support_vector(i)) os << " " << v;
-    os << "\n";
+    out << model.coefficient(i);
+    for (double v : model.support_vector(i)) out << ' ' << v;
+    out << '\n';
   }
+}
+
+void SaveSvm(const SvmModel& model, std::ostream& os) {
+  util::TextWriter out;
+  SaveSvm(model, out);
+  out.WriteTo(os);
   if (!os) throw std::runtime_error("SaveSvm: write failed");
 }
 
@@ -83,13 +88,18 @@ SvmModel LoadSvm(std::istream& is) {
   return SvmModel(kernel, std::move(sv), std::move(coeff), bias);
 }
 
+void SaveScaler(const FeatureScaler& scaler, util::TextWriter& out) {
+  out << kScalerMagic << '\n' << scaler.mean().size() << '\n';
+  for (double m : scaler.mean()) out << m << ' ';
+  out << '\n';
+  for (double s : scaler.stddev()) out << s << ' ';
+  out << '\n';
+}
+
 void SaveScaler(const FeatureScaler& scaler, std::ostream& os) {
-  os << kScalerMagic << "\n" << scaler.mean().size() << "\n"
-     << std::setprecision(17);
-  for (double m : scaler.mean()) os << m << " ";
-  os << "\n";
-  for (double s : scaler.stddev()) os << s << " ";
-  os << "\n";
+  util::TextWriter out;
+  SaveScaler(scaler, out);
+  out.WriteTo(os);
   if (!os) throw std::runtime_error("SaveScaler: write failed");
 }
 
@@ -113,14 +123,16 @@ FeatureScaler LoadScaler(std::istream& is) {
 }
 
 void SaveMlpWeights(const Mlp& net, std::ostream& os) {
-  os << kMlpMagic << "\n";
+  util::TextWriter out;
+  out << kMlpMagic << '\n';
   const MlpConfig& config = net.config();
-  os << config.input_dim << " " << config.output_dim << " "
-     << config.hidden.size();
-  for (std::size_t h : config.hidden) os << " " << h;
-  os << "\n" << std::setprecision(17);
-  for (double w : net.SaveWeights()) os << w << " ";
-  os << "\n";
+  out << config.input_dim << ' ' << config.output_dim << ' '
+      << config.hidden.size();
+  for (std::size_t h : config.hidden) out << ' ' << h;
+  out << '\n';
+  for (double w : net.SaveWeights()) out << w << ' ';
+  out << '\n';
+  out.WriteTo(os);
   if (!os) throw std::runtime_error("SaveMlpWeights: write failed");
 }
 

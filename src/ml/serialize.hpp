@@ -2,6 +2,10 @@
 // the MLP/DQN weights, so a trained MobiRescue deployment can be saved once
 // and reloaded across runs (the paper's system trains on historical
 // disasters well before the one it serves).
+//
+// Every save formats its block into one util::TextWriter (shortest
+// round-trip doubles) and writes it to the stream once; the readers take
+// both those digits and the max_digits10 digits older files carry.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +15,7 @@
 #include "ml/nn/mlp.hpp"
 #include "ml/svm/scaler.hpp"
 #include "ml/svm/svm.hpp"
+#include "util/text_writer.hpp"
 
 namespace mobirescue::ml {
 
@@ -23,6 +28,9 @@ inline constexpr std::size_t kMaxHiddenLayers = 64;
 /// Writes the SVM (kernel config, support vectors, coefficients, bias) to a
 /// stream; throws std::runtime_error on I/O failure.
 void SaveSvm(const SvmModel& model, std::ostream& os);
+/// Appends the same text to a writer (the service checkpoint builds all
+/// its blocks into one buffer).
+void SaveSvm(const SvmModel& model, util::TextWriter& out);
 
 /// Reads an SVM written by SaveSvm; throws std::runtime_error on malformed
 /// input.
@@ -30,6 +38,7 @@ SvmModel LoadSvm(std::istream& is);
 
 /// Writes a feature scaler (means + stddevs).
 void SaveScaler(const FeatureScaler& scaler, std::ostream& os);
+void SaveScaler(const FeatureScaler& scaler, util::TextWriter& out);
 FeatureScaler LoadScaler(std::istream& is);
 
 /// Writes MLP weights (topology must match at load time; the topology

@@ -4,9 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <iomanip>
 #include <istream>
-#include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -190,15 +189,17 @@ void DqnAgent::LoadWeights(std::span<const double> w) {
   target_.CopyWeightsFrom(online_);
 }
 
-void DqnAgent::SaveTrainerState(std::ostream& out) const {
+void DqnAgent::SaveTrainerState(util::TextWriter& out) const {
   // mt19937_64 streams its complete 312-word state; decisions_ pins the
   // epsilon schedule and train_steps_ pins the target-sync phase; the
   // online net's Adam moments and timestep pin the optimizer, so the first
   // TrainStep after a restore is bit-identical to the uninterrupted run's.
-  out << rng_.engine() << ' ' << decisions_ << ' ' << train_steps_ << ' '
+  std::ostringstream engine;
+  engine << rng_.engine();
+  out << engine.str() << ' ' << decisions_ << ' ' << train_steps_ << ' '
       << online_.adam_t();
   const std::vector<double> opt = online_.SaveOptimizerState();
-  out << ' ' << opt.size() << std::setprecision(17);
+  out << ' ' << opt.size();
   for (const double v : opt) out << ' ' << v;
 }
 

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "rl/replay_buffer.hpp"
 #include "util/rng.hpp"
+#include "util/text_writer.hpp"
 
 namespace mobirescue::rl {
 
@@ -87,8 +88,9 @@ class DqnAgent {
   /// sampler RNG engine, the decision counter (epsilon schedule) and the
   /// gradient-step counter (target-sync phase). Together with
   /// SaveWeights/SaveTargetWeights and the buffer contents this makes a
-  /// resumed training run bit-identical to an uninterrupted one.
-  void SaveTrainerState(std::ostream& out) const;
+  /// resumed training run bit-identical to an uninterrupted one. Appends
+  /// to the learner's checkpoint blob.
+  void SaveTrainerState(util::TextWriter& out) const;
   void LoadTrainerState(std::istream& in);
 
   /// Direct weight access for checkpointing.

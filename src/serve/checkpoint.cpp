@@ -1,15 +1,16 @@
 #include "serve/checkpoint.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "ml/serialize.hpp"
+#include "util/text_writer.hpp"
 
 namespace mobirescue::serve {
 
@@ -22,9 +23,11 @@ constexpr const char* kServeStateEnd = "mobirescue-serve-state-end";
 constexpr const char* kLearnMagic = "mobirescue-learn-v1";
 constexpr const char* kLearnEnd = "mobirescue-learn-end";
 
-// Sanity bounds for sizes read from a (possibly corrupt) file: reject
-// before allocating. Generous vs anything the system produces; the feature
-// dimension and layer count share ml::kMaxFeatureDim / ml::kMaxHiddenLayers.
+// Sanity bounds for sizes read from a (possibly corrupt) file. Generous vs
+// anything the system produces; the feature dimension and layer count
+// share ml::kMaxFeatureDim / ml::kMaxHiddenLayers. No count sizes an
+// allocation: containers grow as their elements are read, so a short
+// input fails at its first missing token.
 constexpr std::size_t kMaxHiddenWidth = 1u << 16;
 constexpr std::size_t kMaxWeightCount = 1u << 28;
 constexpr std::size_t kMaxStateRecords = 1u << 26;
@@ -68,10 +71,11 @@ std::size_t ReadCount(std::istream& is, std::size_t max, const char* what) {
   return static_cast<std::size_t>(n);
 }
 
-void SaveWeightBlock(const std::vector<double>& weights, std::ostream& os) {
-  os << weights.size() << "\n";
-  for (double w : weights) os << w << " ";
-  os << "\n";
+void SaveWeightBlock(const std::vector<double>& weights,
+                     util::TextWriter& out) {
+  out << weights.size() << '\n';
+  for (double w : weights) out << w << ' ';
+  out << '\n';
 }
 
 void LoadWeightBlock(std::vector<double>& weights, std::istream& is,
@@ -85,24 +89,26 @@ void LoadWeightBlock(std::vector<double>& weights, std::istream& is,
     throw std::runtime_error(
         "LoadCheckpoint: DQN weight block size does not match topology");
   }
-  weights.resize(n);
-  for (double& w : weights) w = ReadDouble(is, "DQN weight");
+  weights.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    weights.push_back(ReadDouble(is, "DQN weight"));
+  }
 }
 
 void SaveDqn(const rl::DqnConfig& config, const std::vector<double>& weights,
-             const std::vector<double>& target_weights, std::ostream& os) {
-  os << kDqnMagic << "\n";
-  os << config.feature_dim << " " << config.hidden.size();
-  for (std::size_t h : config.hidden) os << " " << h;
-  os << "\n"
-     << std::setprecision(17) << config.gamma << " " << config.learning_rate
-     << " " << config.batch_size << " " << config.buffer_capacity << " "
-     << config.target_sync_every << " " << config.epsilon_start << " "
-     << config.epsilon_end << " " << config.epsilon_decay_steps << " "
-     << config.seed << "\n";
-  SaveWeightBlock(weights, os);
-  SaveWeightBlock(target_weights, os);
-  if (!os) throw std::runtime_error("SaveCheckpoint: DQN write failed");
+             const std::vector<double>& target_weights,
+             util::TextWriter& out) {
+  out << kDqnMagic << '\n';
+  out << config.feature_dim << ' ' << config.hidden.size();
+  for (std::size_t h : config.hidden) out << ' ' << h;
+  out << '\n'
+      << config.gamma << ' ' << config.learning_rate << ' '
+      << config.batch_size << ' ' << config.buffer_capacity << ' '
+      << config.target_sync_every << ' ' << config.epsilon_start << ' '
+      << config.epsilon_end << ' ' << config.epsilon_decay_steps << ' '
+      << config.seed << '\n';
+  SaveWeightBlock(weights, out);
+  SaveWeightBlock(target_weights, out);
 }
 
 void LoadDqn(rl::DqnConfig& config, std::vector<double>& weights,
@@ -137,9 +143,9 @@ void LoadDqn(rl::DqnConfig& config, std::vector<double>& weights,
   LoadWeightBlock(target_weights, is, expected);
 }
 
-void SaveRecord(const mobility::GpsRecord& r, std::ostream& os) {
-  os << r.person << " " << r.t << " " << r.pos.lat << " " << r.pos.lon << " "
-     << r.altitude_m << " " << r.speed_mps << "\n";
+void SaveRecord(const mobility::GpsRecord& r, util::TextWriter& out) {
+  out << r.person << ' ' << r.t << ' ' << r.pos.lat << ' ' << r.pos.lon << ' '
+      << r.altitude_m << ' ' << r.speed_mps << '\n';
 }
 
 mobility::GpsRecord LoadRecord(std::istream& is) {
@@ -155,25 +161,24 @@ mobility::GpsRecord LoadRecord(std::istream& is) {
   return r;
 }
 
-void SaveServingState(const ServingState& s, std::ostream& os) {
-  os << kServeStateMagic << "\n";
-  os << s.ticks << " " << std::setprecision(17) << s.watermark << "\n";
-  os << "latest " << s.latest.size() << "\n";
-  for (const mobility::GpsRecord& r : s.latest) SaveRecord(r, os);
-  os << "deferred " << s.deferred.size() << "\n";
-  for (const mobility::GpsRecord& r : s.deferred) SaveRecord(r, os);
-  os << "counters " << s.counters.applied << " " << s.counters.matched << " "
-     << s.counters.unmatched << " " << s.counters.quarantined_non_finite
-     << " " << s.counters.quarantined_out_of_box << " "
-     << s.counters.quarantined_stale << "\n";
-  os << "flow-cells " << s.flow_cells.size() << "\n";
+void SaveServingState(const ServingState& s, util::TextWriter& out) {
+  out << kServeStateMagic << '\n';
+  out << s.ticks << ' ' << s.watermark << '\n';
+  out << "latest " << s.latest.size() << '\n';
+  for (const mobility::GpsRecord& r : s.latest) SaveRecord(r, out);
+  out << "deferred " << s.deferred.size() << '\n';
+  for (const mobility::GpsRecord& r : s.deferred) SaveRecord(r, out);
+  out << "counters " << s.counters.applied << ' ' << s.counters.matched << ' '
+      << s.counters.unmatched << ' ' << s.counters.quarantined_non_finite
+      << ' ' << s.counters.quarantined_out_of_box << ' '
+      << s.counters.quarantined_stale << '\n';
+  out << "flow-cells " << s.flow_cells.size() << '\n';
   for (const auto& [idx, count] : s.flow_cells) {
-    os << idx << " " << count << "\n";
+    out << idx << ' ' << count << '\n';
   }
-  os << "flow-seen " << s.flow_seen.size() << "\n";
-  for (const std::uint64_t key : s.flow_seen) os << key << " ";
-  os << "\n" << kServeStateEnd << "\n";
-  if (!os) throw std::runtime_error("SaveCheckpoint: serving-state write failed");
+  out << "flow-seen " << s.flow_seen.size() << '\n';
+  for (const std::uint64_t key : s.flow_seen) out << key << ' ';
+  out << '\n' << kServeStateEnd << '\n';
 }
 
 ServingState LoadServingState(std::istream& is) {
@@ -184,11 +189,15 @@ ServingState LoadServingState(std::istream& is) {
   }
   s.watermark = ReadDouble(is, "serving watermark");
   ExpectToken(is, "latest");
-  s.latest.resize(ReadCount(is, kMaxStateRecords, "latest record count"));
-  for (mobility::GpsRecord& r : s.latest) r = LoadRecord(is);
+  const std::size_t latest =
+      ReadCount(is, kMaxStateRecords, "latest record count");
+  for (std::size_t i = 0; i < latest; ++i) s.latest.push_back(LoadRecord(is));
   ExpectToken(is, "deferred");
-  s.deferred.resize(ReadCount(is, kMaxStateRecords, "deferred record count"));
-  for (mobility::GpsRecord& r : s.deferred) r = LoadRecord(is);
+  const std::size_t deferred =
+      ReadCount(is, kMaxStateRecords, "deferred record count");
+  for (std::size_t i = 0; i < deferred; ++i) {
+    s.deferred.push_back(LoadRecord(is));
+  }
   ExpectToken(is, "counters");
   if (!(is >> s.counters.applied >> s.counters.matched >>
         s.counters.unmatched >> s.counters.quarantined_non_finite >>
@@ -196,15 +205,17 @@ ServingState LoadServingState(std::istream& is) {
     throw std::runtime_error("LoadCheckpoint: bad stream counters");
   }
   ExpectToken(is, "flow-cells");
-  s.flow_cells.resize(ReadCount(is, kMaxFlowEntries, "flow cell count"));
-  for (auto& [idx, count] : s.flow_cells) {
+  const std::size_t cells = ReadCount(is, kMaxFlowEntries, "flow cell count");
+  for (std::size_t i = 0; i < cells; ++i) {
+    auto& [idx, count] = s.flow_cells.emplace_back();
     if (!(is >> idx >> count)) {
       throw std::runtime_error("LoadCheckpoint: bad flow cell");
     }
   }
   ExpectToken(is, "flow-seen");
-  s.flow_seen.resize(ReadCount(is, kMaxFlowEntries, "flow seen count"));
-  for (std::uint64_t& key : s.flow_seen) {
+  const std::size_t seen = ReadCount(is, kMaxFlowEntries, "flow seen count");
+  for (std::size_t i = 0; i < seen; ++i) {
+    std::uint64_t& key = s.flow_seen.emplace_back();
     if (!(is >> key)) {
       throw std::runtime_error("LoadCheckpoint: bad flow dedup key");
     }
@@ -241,14 +252,16 @@ ServiceCheckpoint MakeCheckpoint(const rl::DqnAgent& agent,
 }
 
 void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os) {
-  os << kCkptMagic << "\n";
-  SaveDqn(ckpt.dqn, ckpt.dqn_weights, ckpt.dqn_target_weights, os);
-  ml::SaveSvm(ckpt.svm, os);
-  ml::SaveScaler(ckpt.svm_scaler, os);
-  os << std::setprecision(17) << ckpt.svm_threshold << "\n";
-  if (ckpt.has_serving_state) SaveServingState(ckpt.serving, os);
+  util::TextWriter out;
+  out << kCkptMagic << '\n';
+  SaveDqn(ckpt.dqn, ckpt.dqn_weights, ckpt.dqn_target_weights, out);
+  ml::SaveSvm(ckpt.svm, out);
+  ml::SaveScaler(ckpt.svm_scaler, out);
+  out << ckpt.svm_threshold << '\n';
+  if (ckpt.has_serving_state) SaveServingState(ckpt.serving, out);
   // The learner blob carries its own begin/end magics; written verbatim.
-  if (!ckpt.learner_state.empty()) os << ckpt.learner_state;
+  out << ckpt.learner_state;
+  out.WriteTo(os);
   if (!os) throw std::runtime_error("SaveCheckpoint: write failed");
 }
 
@@ -306,11 +319,29 @@ ServiceCheckpoint LoadCheckpoint(std::istream& is) {
 
 void SaveCheckpointToFile(const ServiceCheckpoint& ckpt,
                           const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("SaveCheckpointToFile: cannot open " + path);
+  // Written beside `path` and renamed over it only once complete and
+  // closed, so a failed save (a full disk, a file-size limit) leaves the
+  // previous checkpoint in place. No fsync: power-loss durability is not
+  // promised, and disk latency would land in the serving tick.
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream os(tmp);
+    if (!os) {
+      throw std::runtime_error("SaveCheckpointToFile: cannot open " + tmp);
+    }
+    SaveCheckpoint(ckpt, os);
+    os.close();
+    if (!os) {
+      throw std::runtime_error("SaveCheckpointToFile: cannot write " + tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw std::runtime_error("SaveCheckpointToFile: cannot rename " + tmp +
+                               " to " + path);
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
   }
-  SaveCheckpoint(ckpt, os);
 }
 
 ServiceCheckpoint LoadCheckpointFromFile(const std::string& path) {

@@ -3,11 +3,15 @@
 // trained SVM request predictor (model + feature scaler + calibrated
 // threshold) — in one versioned plain-text artifact built on ml/serialize.
 //
-// The text format uses max-precision doubles (setprecision(17)), so a
-// save/load round trip restores bit-identical Q-values and SVM decision
-// values (checkpoint_test asserts this on probe batches). NaN/inf weights
-// round-trip too (the loader parses doubles with strtod, which — unlike
-// operator>> — accepts "nan" and "inf").
+// Every save path formats through one util::TextWriter: doubles in their
+// shortest round-trip form (std::to_chars), integers in decimal, the whole
+// checkpoint built in one buffer and written once. glibc's strtod rounds
+// correctly, so a save/load round trip restores bit-identical Q-values and
+// SVM decision values (checkpoint_test asserts this on probe batches), ±0
+// and ±inf included, and NaN keeps its sign. The loader parses doubles with
+// strtod, which — unlike operator>> — accepts "nan" and "inf". Files
+// written before the writer carry max_digits10 (%.17g) digits for the same
+// tokens and load to the same bits.
 //
 // An optional serving-state section (mobirescue-serve-state-v1) after the
 // model blocks captures the live DispatchService state — tick count,
@@ -17,10 +21,10 @@
 // (backward compatible with pre-recovery v1 files).
 //
 // The loader is hardened against corrupt input: weight-block sizes must
-// match the topology-derived parameter count (a corrupt header can no
-// longer trigger a huge allocation), all counts are bounds-checked before
-// allocation, truncation at any token throws, and trailing garbage after a
-// complete checkpoint throws.
+// match the topology-derived parameter count, all counts are
+// bounds-checked, no count sizes an allocation before its elements are
+// read (containers grow as they are read), truncation at any token throws,
+// and trailing garbage after a complete checkpoint throws.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +97,9 @@ ServiceCheckpoint MakeCheckpoint(const rl::DqnAgent& agent,
 void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os);
 ServiceCheckpoint LoadCheckpoint(std::istream& is);
 
+/// Writes `path + ".tmp"`, closes it and renames it onto `path`. A save
+/// that fails throws std::runtime_error, removes the temporary file and
+/// leaves the checkpoint already at `path` as it was.
 void SaveCheckpointToFile(const ServiceCheckpoint& ckpt,
                           const std::string& path);
 ServiceCheckpoint LoadCheckpointFromFile(const std::string& path);

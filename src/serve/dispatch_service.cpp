@@ -271,11 +271,24 @@ sim::DispatchDecision DispatchService::Tick(
   if (config_.checkpoint_every_n_ticks > 0 &&
       !config_.checkpoint_path.empty() && CanCheckpoint() &&
       lifetime_ticks_ % config_.checkpoint_every_n_ticks == 0) {
-    SaveCheckpointToFile(Checkpoint(), config_.checkpoint_path);
-    ++checkpoints_written_;
-    checkpoint_counter_.Increment();
-    std::snprintf(attrs, sizeof(attrs), "tick=%llu", tick_no);
-    flight.Emit(obs::Severity::kInfo, "serve", "checkpoint", attrs);
+    OBS_SPAN("serve.checkpoint");
+    const auto c0 = std::chrono::steady_clock::now();
+    try {
+      SaveCheckpointToFile(Checkpoint(), config_.checkpoint_path);
+      ++checkpoints_written_;
+      checkpoint_counter_.Increment();
+      std::snprintf(attrs, sizeof(attrs), "tick=%llu", tick_no);
+      flight.Emit(obs::Severity::kInfo, "serve", "checkpoint", attrs);
+    } catch (const std::exception& e) {
+      // The decision stands and the last good checkpoint is still on disk
+      // (the file is replaced only once complete); the next periodic save
+      // tries again.
+      checkpoint_failures_counter_.Increment();
+      std::snprintf(attrs, sizeof(attrs), "tick=%llu error=%s", tick_no,
+                    e.what());
+      flight.Emit(obs::Severity::kError, "serve", "checkpoint_failed", attrs);
+    }
+    checkpoint_hist_.Observe(ElapsedMs(c0, std::chrono::steady_clock::now()));
   }
   std::snprintf(attrs, sizeof(attrs),
                 "tick=%llu decide_ms=%.3f drain_ms=%.3f fallback=%d", tick_no,

@@ -69,7 +69,9 @@ struct ServiceConfig {
   std::function<void(util::SimTime now)> decide_chaos;
   /// Periodic checkpointing: every N ticks the full serving state is
   /// written to `checkpoint_path` (MobiRescue services only — the models
-  /// are part of the artifact). 0 disables.
+  /// are part of the artifact). 0 disables. A save that fails keeps the
+  /// previous file, counts in serve_checkpoint_failures_total and does not
+  /// stop the tick.
   std::uint64_t checkpoint_every_n_ticks = 0;
   std::string checkpoint_path;
   /// Online continual learning (DESIGN.md §15; MobiRescue services only).
@@ -334,6 +336,10 @@ class DispatchService {
   obs::Histogram learn_hist_{"serve_tick_learn_ms",
                              "Per-tick online-learning wall time (ms).",
                              obs::Histogram::LatencyBucketsMs()};
+  obs::Histogram checkpoint_hist_{
+      "serve_tick_checkpoint_ms",
+      "Periodic checkpoint save wall time on the ticks that save (ms).",
+      obs::Histogram::LatencyBucketsMs()};
   obs::Gauge depth_gauge_{"serve_queue_depth",
                           "Records drained by the most recent tick."};
   obs::Gauge imbalance_gauge_{
@@ -353,6 +359,9 @@ class DispatchService {
   obs::Counter checkpoint_counter_{
       "serve_checkpoints_written_total",
       "Periodic serving-state checkpoints persisted."};
+  obs::Counter checkpoint_failures_counter_{
+      "serve_checkpoint_failures_total",
+      "Periodic checkpoint saves that failed (the previous file is kept)."};
   obs::Counter recovery_counter_{
       "serve_recoveries_total",
       "Crash recoveries (serving state restored from a checkpoint)."};

@@ -1,0 +1,434 @@
+// Checkpoint format and robustness, on a checkpoint with every section
+// (DQN, SVM + scaler, serving state, and a learner blob whose replay buffer
+// is non-empty):
+//   - a file whose doubles carry max_digits10 (%.17g) digits, as files
+//     written before the to_chars writer do, loads to the same bits;
+//   - a save that fails part-way (file-size limit) throws and leaves the
+//     previous checkpoint loadable;
+//   - no count read from a checkpoint or a learner blob sizes an
+//     allocation before its elements are read;
+//   - seeded token mutations load or throw std::runtime_error, and the
+//     learner blobs that load restore or throw.
+#include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cctype>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "file_size_limit.hpp"
+#include "learn/learner.hpp"
+#include "serve/checkpoint.hpp"
+#include "util/rng.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+// From the sanitizer runtime (compiler-rt's sanitizer/allocator_interface.h,
+// which GCC does not install).
+extern "C" void __sanitizer_purge_allocator();
+#endif
+
+namespace mobirescue::serve {
+namespace {
+
+constexpr std::size_t kFeatureDim = 5;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+rl::Transition RandomTransition(util::Rng& rng, bool terminal) {
+  rl::Transition t;
+  t.features.resize(kFeatureDim);
+  for (double& f : t.features) f = rng.Uniform(-1.0, 1.0);
+  t.reward = rng.Uniform(-1.0, 1.0);
+  t.terminal = terminal;
+  t.duration_rounds = 1 + static_cast<int>(rng.Index(3));
+  if (!terminal) {
+    t.next_candidates.assign(3, std::vector<double>(kFeatureDim));
+    for (auto& row : t.next_candidates) {
+      for (double& f : row) f = rng.Uniform(-1.0, 1.0);
+    }
+  }
+  return t;
+}
+
+/// A 5-16-8-1 agent that has trained: its target lags its online net.
+std::shared_ptr<rl::DqnAgent> TrainedLiveAgent() {
+  rl::DqnConfig config;
+  config.feature_dim = kFeatureDim;
+  config.hidden = {16, 8};
+  config.batch_size = 16;
+  config.seed = 77;
+  auto agent = std::make_shared<rl::DqnAgent>(config);
+  util::Rng rng(3);
+  for (int i = 0; i < 64; ++i) {
+    agent->Push(RandomTransition(rng, i % 5 == 0));
+  }
+  for (int i = 0; i < 10; ++i) agent->TrainStep();
+  return agent;
+}
+
+std::unique_ptr<learn::OnlineLearner> MakeLearner(
+    std::shared_ptr<rl::DqnAgent> live) {
+  return std::make_unique<learn::OnlineLearner>(
+      learn::LearnConfig{}, dispatch::RewardWeights{}, std::move(live));
+}
+
+/// A learner blob whose candidate trained on a 40-transition buffer (Adam
+/// moments, a moved sampler, a non-empty ring).
+std::string LearnerBlob(const std::shared_ptr<rl::DqnAgent>& live) {
+  auto learner = MakeLearner(live);
+  util::Rng rng(5);
+  for (int i = 0; i < 40; ++i) {
+    learner->candidate().mutable_buffer().Push(
+        RandomTransition(rng, i % 7 == 0));
+  }
+  for (int i = 0; i < 3; ++i) learner->candidate().TrainStep();
+  return learner->SaveStateString();
+}
+
+mobility::GpsRecord Record(mobility::PersonId person, util::Rng& rng) {
+  mobility::GpsRecord r;
+  r.person = person;
+  r.t = 3 * 86400.0 + rng.Uniform(0.0, 86400.0);
+  r.pos.lat = 34.2 + rng.Uniform(0.0, 0.1);
+  r.pos.lon = -77.9 + rng.Uniform(0.0, 0.1);
+  r.altitude_m = rng.Uniform(-2.0, 40.0);
+  r.speed_mps = rng.Uniform(0.0, 20.0);
+  return r;
+}
+
+/// Every section, with -0, a subnormal, ±inf and ±NaN in the serving
+/// records (strtod-parsed fields) and finite values where the model
+/// readers use operator>>.
+ServiceCheckpoint FullCheckpoint(const std::shared_ptr<rl::DqnAgent>& live) {
+  ServiceCheckpoint ckpt;
+  ckpt.dqn = live->config();
+  ckpt.dqn_weights = live->SaveWeights();
+  ckpt.dqn_target_weights = live->SaveTargetWeights();
+
+  ml::KernelConfig kernel;
+  kernel.type = ml::KernelType::kRbf;
+  kernel.gamma = 0.37;
+  ckpt.svm = ml::SvmModel(
+      kernel,
+      {{0.25, -1.5, 3.0}, {-0.75, 2.25, -0.0}, {1.0 / 3.0, 0.1, 1e-310}},
+      {0.5, -1.25, 0.8125}, -0.3217);
+  ml::FeatureScaler scaler;
+  scaler.Restore({10.5, -2.25, 100.0 / 7.0}, {3.75, 0.5, 12.1});
+  ckpt.svm_scaler = scaler;
+  ckpt.svm_threshold = 0.1234567890123456;
+
+  ckpt.has_serving_state = true;
+  ServingState& s = ckpt.serving;
+  util::Rng rng(9);
+  s.ticks = 97;
+  s.watermark = 3 * 86400.0 + 97 * 300.0 + 0.1;
+  for (mobility::PersonId p = 0; p < 24; ++p) {
+    s.latest.push_back(Record(p, rng));
+  }
+  s.latest[1].altitude_m = -0.0;
+  s.latest[2].speed_mps = std::numeric_limits<double>::denorm_min();
+  s.latest[3].altitude_m = kInf;
+  s.latest[4].altitude_m = -kInf;
+  s.latest[5].speed_mps = kNaN;
+  s.latest[6].speed_mps = -kNaN;
+  for (mobility::PersonId p = 30; p < 33; ++p) {
+    s.deferred.push_back(Record(p, rng));
+  }
+  s.counters = {400, 380, 20, 3, 2, 1};
+  s.flow_cells = {{7, 3}, {19, 1}, {1ull << 40, 12}};
+  s.flow_seen = {11, 1ull << 63, 12345678901234567ull};
+  ckpt.learner_state = LearnerBlob(live);
+  return ckpt;
+}
+
+std::string Save(const ServiceCheckpoint& ckpt) {
+  std::ostringstream out;
+  SaveCheckpoint(ckpt, out);
+  return out.str();
+}
+
+ServiceCheckpoint Load(const std::string& text) {
+  std::istringstream in(text);
+  return LoadCheckpoint(in);
+}
+
+/// The checkpoint without its learner blob: the blob is whitespace-
+/// normalised on load, so it is compared by restoring it instead.
+std::string ModelAndServingText(ServiceCheckpoint ckpt) {
+  ckpt.learner_state.clear();
+  return Save(ckpt);
+}
+
+/// The blob as a fresh learner on `live`'s topology saves it after a
+/// restore (the writer's text is a function of the restored bits).
+std::string RestoredBlob(const std::shared_ptr<rl::DqnAgent>& live,
+                         const std::string& blob) {
+  auto learner = MakeLearner(live);
+  learner->LoadStateString(blob);
+  return learner->SaveStateString();
+}
+
+/// Re-prints every non-integer numeric token with %.17g, the digits
+/// `ostream << setprecision(17)` wrote before the to_chars writer.
+/// Whitespace and every other token stay as they are.
+std::string ReprintAtMaxDigits10(const std::string& text) {
+  std::string out;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (std::isspace(static_cast<unsigned char>(text[i]))) {
+      out += text[i++];
+      continue;
+    }
+    std::size_t end = i;
+    while (end < text.size() &&
+           !std::isspace(static_cast<unsigned char>(text[end]))) {
+      ++end;
+    }
+    const std::string tok = text.substr(i, end - i);
+    i = end;
+    char* parsed_end = nullptr;
+    const double v = std::strtod(tok.c_str(), &parsed_end);
+    const bool integer =
+        tok.find_first_not_of("-0123456789") == std::string::npos;
+    if (integer || parsed_end != tok.c_str() + tok.size()) {
+      out += tok;
+      continue;
+    }
+    char digits[40];
+    std::snprintf(digits, sizeof(digits), "%.17g", v);
+    out += digits;
+  }
+  return out;
+}
+
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+/// Under AddressSanitizer freed blocks wait in a quarantine (256 MB by
+/// default) before they are reused, which reads as RSS growth over a long
+/// loop. Draining it now and then keeps the peak a measure of what the
+/// loaders allocate; elsewhere this does nothing.
+void DrainSanitizerQuarantine() {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_purge_allocator();
+#endif
+}
+
+TEST(CheckpointFormatTest, MaxDigits10TextLoadsToTheSameBits) {
+  const auto live = TrainedLiveAgent();
+  const ServiceCheckpoint ckpt = FullCheckpoint(live);
+  const std::string text = Save(ckpt);
+  const std::string old_text = ReprintAtMaxDigits10(text);
+  // The writer's digits are never longer, and here strictly shorter.
+  ASSERT_LT(text.size(), old_text.size());
+
+  const ServiceCheckpoint from_writer = Load(text);
+  const ServiceCheckpoint from_old = Load(old_text);
+  const std::string want = ModelAndServingText(ckpt);
+  EXPECT_EQ(ModelAndServingText(from_writer), want);
+  EXPECT_EQ(ModelAndServingText(from_old), want);
+  EXPECT_EQ(RestoredBlob(live, from_writer.learner_state), ckpt.learner_state);
+  EXPECT_EQ(RestoredBlob(live, from_old.learner_state), ckpt.learner_state);
+
+  // The special values spelled out, both sign bits kept.
+  const std::vector<mobility::GpsRecord>& latest = from_old.serving.latest;
+  EXPECT_TRUE(std::signbit(latest[1].altitude_m));
+  EXPECT_EQ(latest[2].speed_mps, std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(latest[3].altitude_m, kInf);
+  EXPECT_EQ(latest[4].altitude_m, -kInf);
+  EXPECT_TRUE(std::isnan(latest[5].speed_mps));
+  EXPECT_FALSE(std::signbit(latest[5].speed_mps));
+  EXPECT_TRUE(std::isnan(latest[6].speed_mps));
+  EXPECT_TRUE(std::signbit(latest[6].speed_mps));
+}
+
+TEST(CheckpointFileTest, FailedSaveKeepsThePreviousCheckpoint) {
+  const auto live = TrainedLiveAgent();
+  const ServiceCheckpoint good = FullCheckpoint(live);
+  ServiceCheckpoint next = good;
+  next.serving.ticks += 16;
+  const std::string path =
+      std::string(::testing::TempDir()) + "ckpt_fsize_limit.txt";
+  const std::string tmp = path + ".tmp";
+  SaveCheckpointToFile(good, path);
+  const std::string want = Save(good);
+
+  bool threw = false;
+  {
+    // Half the file fits: the save fails after writing part of it.
+    FileSizeLimit limit(want.size() / 2);
+    try {
+      SaveCheckpointToFile(next, path);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  std::ifstream in(path);
+  const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, want);
+  EXPECT_EQ(LoadCheckpointFromFile(path).serving.ticks, good.serving.ticks);
+
+  // Without the limit the same save replaces the file.
+  SaveCheckpointToFile(next, path);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(LoadCheckpointFromFile(path).serving.ticks, next.serving.ticks);
+  std::filesystem::remove(path);
+}
+
+/// One input per count: a valid prefix cut right after the count's
+/// keyword, a claim of 2^24 elements, then the end of the input.
+struct HostileCount {
+  const char* name;
+  bool learner_blob;  // false: the serving-state section
+  const char* keyword;
+  const char* claim;
+};
+
+void PrintTo(const HostileCount& c, std::ostream* os) { *os << c.name; }
+
+class HostileCountTest : public ::testing::TestWithParam<HostileCount> {};
+
+TEST_P(HostileCountTest, ThrowsWithoutSizingAnAllocation) {
+  const HostileCount& c = GetParam();
+  const auto live = TrainedLiveAgent();
+  ServiceCheckpoint ckpt = FullCheckpoint(live);
+  std::string source = ckpt.learner_state;
+  if (!c.learner_blob) {
+    ckpt.learner_state.clear();
+    source = Save(ckpt);
+  }
+  const std::string key = std::string("\n") + c.keyword + " ";
+  const std::size_t at = source.find(key);
+  ASSERT_NE(at, std::string::npos) << c.keyword;
+  const std::string input =
+      source.substr(0, at + key.size()) + c.claim + "\n";
+
+  const long rss0 = PeakRssKb();
+  if (c.learner_blob) {
+    auto learner = MakeLearner(live);
+    EXPECT_THROW(learner->LoadStateString(input), std::invalid_argument);
+  } else {
+    EXPECT_THROW(Load(input), std::runtime_error);
+  }
+  EXPECT_LT(PeakRssKb() - rss0, 64 * 1024) << "peak RSS grew (KB)";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Counts, HostileCountTest,
+    ::testing::Values(
+        HostileCount{"latest", false, "latest", "16777216"},
+        HostileCount{"deferred", false, "deferred", "16777216"},
+        HostileCount{"flow_cells", false, "flow-cells", "16777216"},
+        HostileCount{"flow_seen", false, "flow-seen", "16777216"},
+        HostileCount{"buffer", true, "buffer", "16777216 0 16777216 0"},
+        HostileCount{"collector", true, "collector", "16777216"},
+        HostileCount{"vector", true, "candidate-weights", "16777216"},
+        HostileCount{"promotion_ticks", true, "promotion-ticks",
+                     "16777216"}),
+    [](const ::testing::TestParamInfo<HostileCount>& info) {
+      return std::string(info.param.name);
+    });
+
+std::vector<std::string> Tokens(const std::string& text) {
+  std::istringstream in(text);
+  return {std::istream_iterator<std::string>(in),
+          std::istream_iterator<std::string>()};
+}
+
+std::string Join(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& t : tokens) {
+    out += t;
+    out += '\n';
+  }
+  return out;
+}
+
+/// Counts at and past every loader bound, non-numbers, special doubles,
+/// section keywords; or any token of the original.
+std::string Replacement(util::Rng& rng,
+                        const std::vector<std::string>& original) {
+  static const char* const kPool[] = {
+      "0",     "1",         "-1",       "3",          "4097",
+      "65536", "16777216",  "67108864", "4294967296", "18446744073709551615",
+      "-0",    "0.5",       "1e308",    "5e-324",     "nan",
+      "-nan",  "inf",       "-inf",     "1x",         "t",
+      "latest", "buffer",   "mobirescue-learn-v1",    "mobirescue-learn-end",
+      "mobirescue-serve-state-v1",      "mobirescue-serve-state-end",
+      "99999999999999999999999"};
+  constexpr std::size_t kPoolSize = sizeof(kPool) / sizeof(kPool[0]);
+  const std::size_t pick = rng.Index(kPoolSize + 1);
+  if (pick < kPoolSize) return kPool[pick];
+  return original[rng.Index(original.size())];
+}
+
+TEST(CheckpointMutationTest, SeededMutantsLoadOrThrowRuntimeError) {
+  const auto live = TrainedLiveAgent();
+  const std::vector<std::string> tokens = Tokens(Save(FullCheckpoint(live)));
+  const long rss0 = PeakRssKb();
+  util::Rng rng(20261017);
+  int rejected = 0, loaded = 0, restored = 0, blob_rejected = 0;
+  const char* const kKinds[] = {"replace", "delete", "duplicate", "truncate"};
+  constexpr int kMutants = 1600;
+  for (int i = 0; i < kMutants; ++i) {
+    if (i % 64 == 0) DrainSanitizerQuarantine();
+    std::vector<std::string> mutant = tokens;
+    const std::size_t at = rng.Index(mutant.size());
+    const char* kind = kKinds[i % 4];
+    switch (i % 4) {
+      case 0: mutant[at] = Replacement(rng, tokens); break;
+      case 1: mutant.erase(mutant.begin() + at); break;
+      case 2: mutant.insert(mutant.begin() + at, mutant[at]); break;
+      default: mutant.resize(at); break;
+    }
+    ServiceCheckpoint got;
+    try {
+      got = Load(Join(mutant));
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << kind << " at token " << at << ": " << e.what();
+      continue;
+    }
+    ++loaded;
+    if (got.learner_state.empty()) continue;
+    auto learner = MakeLearner(live);
+    try {
+      learner->LoadStateString(got.learner_state);
+      ++restored;
+    } catch (const std::invalid_argument&) {
+      ++blob_rejected;
+    } catch (const std::runtime_error&) {
+      ++blob_rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << kind << " at token " << at << " (learner): "
+                    << e.what();
+    }
+  }
+  EXPECT_LT(PeakRssKb() - rss0, 256 * 1024) << "peak RSS grew (KB)";
+  // Every outcome occurs, so the mutations reach each stage.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(restored, 0);
+  EXPECT_GT(blob_rejected, 0);
+}
+
+}  // namespace
+}  // namespace mobirescue::serve

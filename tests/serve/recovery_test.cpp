@@ -5,6 +5,8 @@
 //   - a chaos plan with mid-episode kills completes the full 288-tick day
 //     by restoring from periodic checkpoints, with recovery events visible
 //     in the obs registry,
+//   - a periodic save that fails (file-size limit) keeps serving and
+//     keeps the previous checkpoint,
 //   - the degradation ladder: an injected Decide() failure or a budget
 //     overrun hands the tick to the greedy fallback for the cooldown, and
 //     an injected predictor failure keeps serving on the last-known
@@ -13,16 +15,21 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/world.hpp"
+#include "file_size_limit.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/dispatch_service.hpp"
+#include "serve/trace_streamer.hpp"
 #include "sim/population_tracker.hpp"
 #include "sim/request.hpp"
 
@@ -144,6 +151,44 @@ TEST_F(RecoveryTest, ZeroFaultPlanPreservesBatchBitIdentity) {
   EXPECT_EQ(metrics.state.quarantined(), 0u);
   EXPECT_EQ(metrics.fallback_ticks, 0u);
   EXPECT_EQ(metrics.recoveries, 0u);
+}
+
+TEST_F(RecoveryTest, FailedPeriodicSavesKeepServing) {
+  // A periodic save that fails on every tick (a file-size limit stands in
+  // for a full disk) neither throws out of Tick nor changes a decision:
+  // the day still matches the batch replay, each failure is counted and
+  // flight-recorded, and the checkpoint already on disk still loads.
+  const DayOutcome batch = RunBatch();
+  const std::string path =
+      std::string(::testing::TempDir()) + "recovery_failed_save_ckpt.txt";
+  ServiceConfig config = BaseServiceConfig();
+  config.checkpoint_every_n_ticks = 1;
+  config.checkpoint_path = path;
+  DispatchService service(*world_->city, *world_->index, *svm_, agent_,
+                          DayOffset(), config);
+  SaveCheckpointToFile(service.Checkpoint(), path);
+
+  obs::SnapshotDelta registry_delta(obs::Registry::Global());
+  sim::RescueSimulator simulator = MakeSimulator();
+  {
+    FileSizeLimit limit(4096);
+    TraceStreamer streamer(DayTrace(), service);
+    service.ServeEpisode(simulator, &streamer);
+  }
+
+  ExpectIdentical(batch, Outcome(simulator));
+  EXPECT_EQ(service.metrics().ticks, 288u);
+  EXPECT_EQ(service.metrics().checkpoints_written, 0u);
+  EXPECT_EQ(registry_delta.Delta("serve_checkpoint_failures_total"), 288.0);
+  EXPECT_EQ(registry_delta.Delta("serve_tick_checkpoint_ms"), 288.0);
+  bool recorded = false;
+  for (const obs::Event& e : obs::FlightRecorder::Global().CollectRecent(16)) {
+    recorded |= std::string_view(e.kind) == "checkpoint_failed" &&
+                e.severity == obs::Severity::kError;
+  }
+  EXPECT_TRUE(recorded);
+  EXPECT_EQ(LoadCheckpointFromFile(path).serving.ticks, 0u);
+  std::filesystem::remove(path);
 }
 
 TEST_F(RecoveryTest, KillMidEpisodeRestoresFromCheckpointAndFinishes) {
