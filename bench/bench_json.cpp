@@ -1,13 +1,12 @@
 #include "bench_json.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "obs/json_walker.hpp"
 
 namespace mobirescue::bench {
 
@@ -66,47 +65,22 @@ OverheadMeasurement MeasureOverheadMedian(
   return measured[(measured.size() - 1) / 2];
 }
 
-namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 void WriteBenchJsonFile(const std::string& path, const std::string& label,
                         const std::vector<BenchRecord>& records) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("WriteBenchJsonFile: cannot open " + path);
   out << "{\n";
   out << "  \"schema\": \"mobirescue-bench-v1\",\n";
-  out << "  \"label\": \"" << EscapeJson(label) << "\",\n";
+  out << "  \"label\": \"" << obs::EscapeJson(label) << "\",\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
-    out << "    {\"op\": \"" << EscapeJson(r.op) << "\", \"size\": \""
-        << EscapeJson(r.size) << "\", \"ns_per_op\": "
-        << FormatDouble(r.ns_per_op) << ", \"iterations\": " << r.iterations
-        << ", \"speedup_vs_scalar\": " << FormatDouble(r.speedup_vs_scalar)
-        << "}" << (i + 1 < records.size() ? "," : "") << "\n";
+    out << "    {\"op\": \"" << obs::EscapeJson(r.op) << "\", \"size\": \""
+        << obs::EscapeJson(r.size)
+        << "\", \"ns_per_op\": " << obs::FormatDouble(r.ns_per_op)
+        << ", \"iterations\": " << r.iterations << ", \"speedup_vs_scalar\": "
+        << obs::FormatDouble(r.speedup_vs_scalar) << "}"
+        << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
   out << "}\n";
@@ -117,61 +91,7 @@ void WriteBenchJsonFile(const std::string& path, const std::string& label,
 
 namespace {
 
-// Minimal recursive-descent parser for the JSON subset the bench schema
-// uses: objects, arrays, strings, numbers. No dependency on a JSON
-// library (the container image carries none).
-struct JsonCursor {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  bool Fail(const std::string& message) {
-    if (error.empty()) error = message;
-    return false;
-  }
-  void SkipWs() {
-    while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
-  }
-  bool Consume(char c) {
-    SkipWs();
-    if (p >= end || *p != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++p;
-    return true;
-  }
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (p >= end || *p != '"') return Fail("expected string");
-    ++p;
-    out->clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end) return Fail("bad escape");
-        switch (*p) {
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          default: *out += *p;
-        }
-      } else {
-        *out += *p;
-      }
-      ++p;
-    }
-    if (p >= end) return Fail("unterminated string");
-    ++p;
-    return true;
-  }
-  bool ParseNumber(double* out) {
-    SkipWs();
-    char* parse_end = nullptr;
-    *out = std::strtod(p, &parse_end);
-    if (parse_end == p) return Fail("expected number");
-    p = parse_end;
-    return true;
-  }
-};
+using obs::JsonCursor;
 
 struct ParsedRecord {
   std::string op, size;
@@ -203,12 +123,7 @@ bool ParseRecord(JsonCursor& cur, ParsedRecord* rec) {
       }
       // Unknown numeric keys (e.g. a future field) are tolerated.
     }
-    cur.SkipWs();
-    if (cur.p < cur.end && *cur.p == ',') {
-      ++cur.p;
-      continue;
-    }
-    return cur.Consume('}');
+    if (!cur.ConsumeIf(',')) return cur.Consume('}');
   }
 }
 
@@ -219,12 +134,9 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
     if (error != nullptr) *error = message;
     return false;
   };
-  std::ifstream in(path);
-  if (!in) return fail("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  JsonCursor cur{text.data(), text.data() + text.size(), {}};
+  std::string text;
+  if (!obs::ReadWholeFile(path, &text, error)) return false;
+  JsonCursor cur(text);
 
   if (!cur.Consume('{')) return fail(cur.error);
   bool saw_schema = false, saw_label = false, saw_results = false;
@@ -247,10 +159,7 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
       saw_label = true;
     } else if (key == "results") {
       if (!cur.Consume('[')) return fail(cur.error);
-      cur.SkipWs();
-      if (cur.p < cur.end && *cur.p == ']') {
-        ++cur.p;
-      } else {
+      if (!cur.ConsumeIf(']')) {
         for (;;) {
           ParsedRecord rec;
           if (!ParseRecord(cur, &rec)) return fail(cur.error);
@@ -268,11 +177,7 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
           if (!rec.has_iters || !(rec.iterations >= 1.0)) {
             return fail(where + "iterations must be >= 1");
           }
-          cur.SkipWs();
-          if (cur.p < cur.end && *cur.p == ',') {
-            ++cur.p;
-            continue;
-          }
+          if (cur.ConsumeIf(',')) continue;
           if (!cur.Consume(']')) return fail(cur.error);
           break;
         }
@@ -281,11 +186,7 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
     } else {
       return fail("unexpected top-level key: " + key);
     }
-    cur.SkipWs();
-    if (cur.p < cur.end && *cur.p == ',') {
-      ++cur.p;
-      continue;
-    }
+    if (cur.ConsumeIf(',')) continue;
     if (!cur.Consume('}')) return fail(cur.error);
     break;
   }

@@ -36,6 +36,7 @@
 #include "roadnet/spatial_index.hpp"
 #include "serve/ingest_queue.hpp"
 #include "serve/stream_state.hpp"
+#include "util/rng.hpp"
 
 using namespace mobirescue;
 
@@ -44,13 +45,6 @@ namespace {
 constexpr int kQueueShards = 16;
 constexpr int kStateShards = 16;
 constexpr double kWindowSeconds = 300.0;
-
-std::uint64_t SplitMix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 double UnitDouble(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
@@ -64,15 +58,15 @@ void SynthWindow(const util::BoundingBox& box, int people, int window,
   out.clear();
   out.reserve(static_cast<std::size_t>(people));
   for (int p = 0; p < people; ++p) {
-    const std::uint64_t h = SplitMix64(
+    const std::uint64_t h = util::SplitMix64(
         (static_cast<std::uint64_t>(p) << 20) ^ static_cast<std::uint64_t>(window) ^ 0xC0FFEEULL);
     mobility::GpsRecord r;
     r.person = p;
     r.t = window * kWindowSeconds +
-          UnitDouble(SplitMix64(h ^ 1)) * (kWindowSeconds - 1.0);
-    r.pos = box.At(UnitDouble(h), UnitDouble(SplitMix64(h)));
-    r.altitude_m = 20.0 + 50.0 * UnitDouble(SplitMix64(h ^ 2));
-    r.speed_mps = 3.0 + 17.0 * UnitDouble(SplitMix64(h ^ 3));
+          UnitDouble(util::SplitMix64(h ^ 1)) * (kWindowSeconds - 1.0);
+    r.pos = box.At(UnitDouble(h), UnitDouble(util::SplitMix64(h)));
+    r.altitude_m = 20.0 + 50.0 * UnitDouble(util::SplitMix64(h ^ 2));
+    r.speed_mps = 3.0 + 17.0 * UnitDouble(util::SplitMix64(h ^ 3));
     out.push_back(r);
   }
 }

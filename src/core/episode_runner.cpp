@@ -16,13 +16,7 @@ std::uint64_t EpisodeRunner::DeriveSeed(std::uint64_t base,
                                         std::uint64_t index) {
   // splitmix64 of the combined key: small bases/indices map to
   // well-separated 64-bit seeds.
-  std::uint64_t x = base + 0x9E3779B97F4A7C15ULL * (index + 1);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
+  return util::SplitMix64(base + 0x9E3779B97F4A7C15ULL * index);
 }
 
 EpisodeRunner::EpisodeRunner(int jobs) {

@@ -208,15 +208,4 @@ std::vector<EvaluationOutcome> RunMethodSeeds(
   });
 }
 
-std::vector<EvaluationOutcome> RunPaperEvaluation(
-    const World& world, const TrainingConfig& training,
-    sim::SimConfig sim_config, int jobs) {
-  auto svm = TrainSvmPredictor(world);
-  auto ts = BuildTimeSeriesPredictor(world);
-  auto agent = TrainAgent(world, *svm, training);
-  return RunMethods(world,
-                    {Method::kMobiRescue, Method::kRescue, Method::kSchedule},
-                    svm.get(), ts.get(), agent, sim_config, {}, jobs);
-}
-
 }  // namespace mobirescue::core

@@ -108,11 +108,4 @@ std::vector<EvaluationOutcome> RunMethodSeeds(
     int num_seeds, int jobs = 0,
     dispatch::MobiRescueConfig mr_config = {});
 
-/// Convenience: full paper evaluation — trains everything, runs the three
-/// compared methods (in parallel across `jobs` workers) and returns their
-/// outcomes in order {MR, Rescue, Schedule}.
-std::vector<EvaluationOutcome> RunPaperEvaluation(
-    const World& world, const TrainingConfig& training,
-    sim::SimConfig sim_config = {}, int jobs = 0);
-
 }  // namespace mobirescue::core

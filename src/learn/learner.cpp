@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/rng.hpp"
 #include "util/text_writer.hpp"
 
 namespace mobirescue::learn {
@@ -18,13 +19,6 @@ constexpr char kLearnEnd[] = "mobirescue-learn-end";
 /// grow as their elements are read, so a short input fails at its first
 /// missing token.
 constexpr std::size_t kMaxCount = 1u << 24;
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 std::string ReadToken(std::istream& in) {
   std::string tok;
@@ -119,7 +113,7 @@ OnlineLearner::OnlineLearner(const LearnConfig& config,
         // offline training stream is never replayed online).
         rl::DqnConfig c = live_->config();
         c.buffer_capacity = config.buffer_capacity;
-        c.seed = SplitMix64(config.seed);
+        c.seed = util::SplitMix64(config.seed);
         auto agent = std::make_shared<rl::DqnAgent>(c);
         agent->LoadWeights(live_->SaveWeights());
         agent->LoadTargetWeights(live_->SaveTargetWeights());

@@ -19,13 +19,6 @@ struct PersonState {
   bool day_over = false;      // no more activity today
 };
 
-std::uint64_t SplitMix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 TraceGenerator::TraceGenerator(const roadnet::City& city,
@@ -69,10 +62,11 @@ util::Rng TraceGenerator::PersonRng(PersonId id) const {
   // Splitmix finalisation of (seed, id): person streams are decorrelated
   // and depend on nothing but the config seed and the person id, which is
   // what makes chunk generation order-independent.
-  const std::uint64_t mixed = SplitMix64(
+  const std::uint64_t mixed = util::SplitMix64(
       config_.seed ^
-      SplitMix64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) +
-                 0x51ED270B0A9F4C1DULL));
+      util::SplitMix64(
+          static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) +
+          0x51ED270B0A9F4C1DULL));
   return util::Rng(mixed);
 }
 

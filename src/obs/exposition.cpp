@@ -12,21 +12,6 @@ namespace mobirescue::obs {
 
 namespace {
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string EscapeHelp(const std::string& s) {
   // Prometheus HELP lines escape backslash and newline only.
   std::string out;
@@ -43,22 +28,6 @@ std::string EscapeHelp(const std::string& s) {
   return out;
 }
 
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
-
-const char* KindName(InstrumentKind kind) {
-  switch (kind) {
-    case InstrumentKind::kCounter: return "counter";
-    case InstrumentKind::kGauge: return "gauge";
-    case InstrumentKind::kHistogram: return "histogram";
-  }
-  return "unknown";
-}
-
 void RequireGood(const std::ostream& out, const std::string& what,
                  const std::string& path) {
   if (!out.good()) {
@@ -67,11 +36,6 @@ void RequireGood(const std::ostream& out, const std::string& what,
 }
 
 }  // namespace
-
-bool ReadMetricValue(const Registry& registry, const std::string& name,
-                     double* value) {
-  return ReadSnapshotValue(registry.Snapshot(), name, value);
-}
 
 // --- Prometheus text -------------------------------------------------------
 
@@ -223,11 +187,6 @@ void WriteChromeTraceFile(const std::string& path,
 
 namespace {
 
-// The recursive-descent walker lives in obs/json_walker.hpp, shared with
-// the incident-bundle validator.
-using internal::JsonCursor;
-using internal::ReadWholeFile;
-
 bool ValidateOneTraceEvent(JsonCursor& cur, std::size_t index) {
   const std::string where = "traceEvents[" + std::to_string(index) + "]: ";
   if (!cur.Consume('{')) return false;
@@ -301,7 +260,7 @@ bool ValidateChromeTraceFile(const std::string& path, std::string* error) {
   };
   std::string text;
   if (!ReadWholeFile(path, &text, error)) return false;
-  JsonCursor cur{text.data(), text.data() + text.size(), {}};
+  JsonCursor cur(text);
 
   if (!cur.Consume('{')) return fail(cur.error);
   bool saw_events = false;
@@ -422,7 +381,7 @@ bool ValidateMetricsJsonFile(const std::string& path, std::string* error) {
   };
   std::string text;
   if (!ReadWholeFile(path, &text, error)) return false;
-  JsonCursor cur{text.data(), text.data() + text.size(), {}};
+  JsonCursor cur(text);
 
   if (!cur.Consume('{')) return fail(cur.error);
   bool saw_schema = false, saw_label = false, saw_metrics = false;

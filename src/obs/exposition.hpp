@@ -10,8 +10,8 @@
 //                          complete "X" events) loadable in Perfetto /
 //                          chrome://tracing
 //   ValidateChromeTraceFile / ValidateMetricsJsonFile
-//                          dependency-free structural validators, mirrors
-//                          of bench::ValidateBenchJsonFile
+//                          dependency-free structural validators on the
+//                          one JSON cursor (obs/json_walker.hpp)
 #pragma once
 
 #include <ostream>
@@ -21,15 +21,6 @@
 #include "obs/trace.hpp"
 
 namespace mobirescue::obs {
-
-/// Looks up one merged counter/gauge value in a registry snapshot:
-/// returns true and stores the aggregate in `*value` when an instrument
-/// with that name is live. Histograms return their sample count. Thin
-/// wrapper over ReadSnapshotValue kept for existing callers; new code
-/// wanting baseline-relative reads should use obs::SnapshotDelta
-/// (obs/metrics.hpp).
-bool ReadMetricValue(const Registry& registry, const std::string& name,
-                     double* value);
 
 /// Prometheus text exposition of every live metric: `# HELP`/`# TYPE`
 /// headers, cumulative `_bucket{le="..."}` lines plus `_sum`/`_count` for

@@ -12,21 +12,6 @@ namespace mobirescue::obs {
 
 namespace {
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 /// Triggers become part of the filename: keep [A-Za-z0-9_-], fold the rest.
 std::string SanitizeTrigger(const std::string& trigger) {
   std::string out;
@@ -37,15 +22,6 @@ std::string SanitizeTrigger(const std::string& trigger) {
     out += ok ? c : '-';
   }
   return out.empty() ? std::string("incident") : out;
-}
-
-const char* KindName(InstrumentKind kind) {
-  switch (kind) {
-    case InstrumentKind::kCounter: return "counter";
-    case InstrumentKind::kGauge: return "gauge";
-    case InstrumentKind::kHistogram: return "histogram";
-  }
-  return "unknown";
 }
 
 void RequireGood(const std::ostream& out, const std::string& path) {
@@ -192,8 +168,6 @@ std::string IncidentWriter::Dump(const std::string& trigger) {
 
 namespace {
 
-using internal::JsonCursor;
-
 bool ValidSeverity(const std::string& s) {
   return s == "info" || s == "warn" || s == "error";
 }
@@ -290,8 +264,8 @@ bool WalkIncidentFile(const std::string& path,
     return false;
   };
   std::string text;
-  if (!internal::ReadWholeFile(path, &text, error)) return false;
-  JsonCursor cur{text.data(), text.data() + text.size(), {}};
+  if (!ReadWholeFile(path, &text, error)) return false;
+  JsonCursor cur(text);
 
   if (!cur.Consume('{')) return fail(cur.error);
   bool saw_schema = false, saw_trigger = false, saw_label = false,

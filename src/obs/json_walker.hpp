@@ -1,11 +1,13 @@
-// Minimal recursive-descent JSON walker shared by the obs validators
-// (Chrome trace, metrics JSON, incident bundles) — the same dependency-free
-// idiom as bench::ValidateBenchJsonFile (the image carries no JSON
-// library). Handles the general grammar so unknown fields — nested "args"
-// objects and the like — are tolerated.
+// The project's one JSON reader and escaper: a minimal recursive-descent
+// cursor behind every structural validator (Chrome trace, metrics JSON,
+// incident bundles, bench::ValidateBenchJsonFile), plus the string escape
+// and number format every JSON writer uses. Dependency-free: the image
+// carries no JSON library. The cursor handles the general grammar so
+// unknown fields (nested "args" objects and the like) can be skipped.
 //
-// Internal header: the walker is an implementation detail of the
-// validators, not a public JSON API.
+// Hostile input fails cleanly: every read is bounds-checked, and a skipped
+// value may nest at most JsonCursor::kMaxDepth arrays/objects deep, so a
+// deeply nested unknown field cannot exhaust the stack.
 #pragma once
 
 #include <cctype>
@@ -15,12 +17,20 @@
 #include <sstream>
 #include <string>
 
-namespace mobirescue::obs::internal {
+namespace mobirescue::obs {
 
 struct JsonCursor {
+  /// Deepest nesting SkipValue() accepts, in arrays/objects.
+  static constexpr int kMaxDepth = 64;
+
+  /// Walks `text`, which must outlive the cursor.
+  explicit JsonCursor(const std::string& text)
+      : p(text.data()), end(text.data() + text.size()) {}
+
   const char* p;
   const char* end;
-  std::string error;
+  std::string error;  // the first failure's description
+  int depth = 0;      // arrays/objects SkipValue() is inside
 
   bool Fail(const std::string& message) {
     if (error.empty()) error = message;
@@ -74,6 +84,7 @@ struct JsonCursor {
   }
   bool ParseNumber(double* out) {
     SkipWs();
+    // The walked text is a std::string, so strtod stops at its NUL.
     char* parse_end = nullptr;
     *out = std::strtod(p, &parse_end);
     if (parse_end == p) return Fail("expected number");
@@ -92,28 +103,16 @@ struct JsonCursor {
   }
   /// Skips one complete JSON value of any type.
   bool SkipValue() {
-    switch (Peek()) {
-      case '{': {
-        ++p;
-        if (ConsumeIf('}')) return true;
-        for (;;) {
-          std::string key;
-          if (!ParseString(&key)) return false;
-          if (!Consume(':')) return false;
-          if (!SkipValue()) return false;
-          if (ConsumeIf(',')) continue;
-          return Consume('}');
-        }
-      }
-      case '[': {
-        ++p;
-        if (ConsumeIf(']')) return true;
-        for (;;) {
-          if (!SkipValue()) return false;
-          if (ConsumeIf(',')) continue;
-          return Consume(']');
-        }
-      }
+    const char c = Peek();
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) return Fail("nesting too deep");
+      ++depth;
+      ++p;
+      const bool ok = c == '{' ? SkipMembers() : SkipElements();
+      --depth;
+      return ok;
+    }
+    switch (c) {
       case '"': {
         std::string s;
         return ParseString(&s);
@@ -125,6 +124,26 @@ struct JsonCursor {
         double d;
         return ParseNumber(&d);
       }
+    }
+  }
+  // The rest of an object / array whose opening bracket was consumed.
+  bool SkipMembers() {
+    if (ConsumeIf('}')) return true;
+    for (;;) {
+      std::string key;
+      if (!ParseString(&key)) return false;
+      if (!Consume(':')) return false;
+      if (!SkipValue()) return false;
+      if (ConsumeIf(',')) continue;
+      return Consume('}');
+    }
+  }
+  bool SkipElements() {
+    if (ConsumeIf(']')) return true;
+    for (;;) {
+      if (!SkipValue()) return false;
+      if (ConsumeIf(',')) continue;
+      return Consume(']');
     }
   }
 };
@@ -142,4 +161,30 @@ inline bool ReadWholeFile(const std::string& path, std::string* text,
   return true;
 }
 
-}  // namespace mobirescue::obs::internal
+/// `s` as the body of a JSON string literal: escapes '"', '\\', newline
+/// and tab.
+inline std::string EscapeJson(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+/// `v` with 12 significant digits (printf "%.12g"), the precision of every
+/// number the obs and bench writers emit.
+inline std::string FormatDouble(double v) {
+  std::ostringstream os;
+  os.precision(12);
+  os << v;
+  return os.str();
+}
+
+}  // namespace mobirescue::obs

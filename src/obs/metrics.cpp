@@ -5,6 +5,15 @@
 
 namespace mobirescue::obs {
 
+const char* KindName(InstrumentKind kind) {
+  switch (kind) {
+    case InstrumentKind::kCounter: return "counter";
+    case InstrumentKind::kGauge: return "gauge";
+    case InstrumentKind::kHistogram: return "histogram";
+  }
+  return "unknown";
+}
+
 namespace internal {
 
 std::size_t ThisThreadStripe() {

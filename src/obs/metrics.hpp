@@ -71,6 +71,9 @@ struct StripedU64 {
 
 enum class InstrumentKind { kCounter, kGauge, kHistogram };
 
+/// "counter" / "gauge" / "histogram", as the exposition formats spell it.
+const char* KindName(InstrumentKind kind);
+
 /// Monotone event counter. Increment is one relaxed fetch_add on a striped
 /// cell; Value() sums the stripes (exact once writers are quiescent).
 class Counter {

@@ -1,32 +1,9 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace mobirescue::obs {
-
-namespace {
-
-std::int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t NextFlightRecorderId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// One-slot thread-local cache of (recorder id -> ring), the trace-ring
-// idiom (obs/trace.cpp): the global recorder dominates, so the hot path is
-// a single integer compare; keyed by the process-unique id so a destroyed
-// recorder can never alias a stale ring pointer.
-thread_local std::uint64_t t_flight_owner = 0;
-thread_local void* t_flight_ring = nullptr;
-
-}  // namespace
 
 const char* SeverityName(Severity severity) {
   switch (severity) {
@@ -37,71 +14,23 @@ const char* SeverityName(Severity severity) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder()
-    : id_(NextFlightRecorderId()), epoch_ns_(SteadyNowNs()) {}
-
-FlightRecorder::~FlightRecorder() = default;
-
 FlightRecorder& FlightRecorder::Global() {
   static FlightRecorder* global = new FlightRecorder();
   return *global;
 }
 
-std::uint64_t FlightRecorder::NowNs() const {
-  const std::int64_t delta =
-      SteadyNowNs() - epoch_ns_.load(std::memory_order_relaxed);
-  return delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
-}
-
-FlightRecorder::ThreadRing* FlightRecorder::RingForThisThread() {
-  if (t_flight_owner == id_) return static_cast<ThreadRing*>(t_flight_ring);
-  std::lock_guard lock(rings_mutex_);
-  ThreadRing*& slot = ring_by_thread_[std::this_thread::get_id()];
-  if (slot == nullptr) {
-    auto ring = std::make_unique<ThreadRing>();
-    ring->buf.reserve(ring_capacity_);
-    slot = ring.get();
-    rings_.push_back(std::move(ring));
-  }
-  t_flight_owner = id_;
-  t_flight_ring = slot;
-  return slot;
-}
-
 void FlightRecorder::Emit(Severity severity, const char* component,
                           const char* kind, std::string attrs) {
   if (!enabled()) return;
-  Event event;
-  event.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  event.ts_ns = NowNs();
-  event.severity = severity;
-  event.component = component;
-  event.kind = kind;
-  event.attrs = std::move(attrs);
-
-  ThreadRing* ring = RingForThisThread();
-  std::lock_guard lock(ring->mu);
-  const std::size_t capacity = ring->buf.capacity();
-  if (capacity == 0) {  // set_ring_capacity(0): recording into the void
-    ++ring->dropped;
-    return;
-  }
-  if (ring->buf.size() < capacity) {
-    ring->buf.push_back(std::move(event));
-  } else {
-    ring->buf[ring->next] = std::move(event);
-    ++ring->dropped;
-  }
-  ring->next = (ring->next + 1) % capacity;
+  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t ts_ns = NowNs();
+  rings_.Push([&](std::uint32_t) {
+    return Event{seq, ts_ns, severity, component, kind, std::move(attrs)};
+  });
 }
 
 std::vector<Event> FlightRecorder::Collect() const {
-  std::vector<Event> out;
-  std::lock_guard lock(rings_mutex_);
-  for (const auto& ring : rings_) {
-    std::lock_guard ring_lock(ring->mu);
-    out.insert(out.end(), ring->buf.begin(), ring->buf.end());
-  }
+  std::vector<Event> out = rings_.Collect();
   std::sort(out.begin(), out.end(),
             [](const Event& a, const Event& b) { return a.seq < b.seq; });
   return out;
@@ -115,38 +44,6 @@ std::vector<Event> FlightRecorder::CollectRecent(
               all.begin() + static_cast<std::ptrdiff_t>(all.size() - max_events));
   }
   return all;
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  std::uint64_t total = 0;
-  std::lock_guard lock(rings_mutex_);
-  for (const auto& ring : rings_) {
-    std::lock_guard ring_lock(ring->mu);
-    total += ring->dropped;
-  }
-  return total;
-}
-
-void FlightRecorder::Clear() {
-  std::lock_guard lock(rings_mutex_);
-  for (const auto& ring : rings_) {
-    std::lock_guard ring_lock(ring->mu);
-    ring->buf.clear();
-    ring->buf.reserve(ring_capacity_);
-    ring->next = 0;
-    ring->dropped = 0;
-  }
-  epoch_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
-}
-
-void FlightRecorder::set_ring_capacity(std::size_t events) {
-  std::lock_guard lock(rings_mutex_);
-  ring_capacity_ = events;
-}
-
-std::size_t FlightRecorder::ring_capacity() const {
-  std::lock_guard lock(rings_mutex_);
-  return ring_capacity_;
 }
 
 }  // namespace mobirescue::obs

@@ -8,7 +8,7 @@
 // relaxed atomic, so a collected timeline is totally ordered by emission
 // even across threads whose clocks read equal timestamps.
 //
-// Storage follows the trace-ring discipline (obs/trace.hpp): per-thread
+// Storage is the trace recorder's (obs/thread_rings.hpp): per-thread
 // fixed-capacity rings that overwrite their oldest events (drops counted),
 // a one-slot thread-local ring cache, per-ring mutexes that are
 // uncontended in steady state. Unlike tracing, the recorder is ON by
@@ -24,12 +24,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
+
+#include "obs/thread_rings.hpp"
 
 namespace mobirescue::obs {
 
@@ -49,8 +47,7 @@ struct Event {
 
 class FlightRecorder {
  public:
-  FlightRecorder();
-  ~FlightRecorder();
+  FlightRecorder() = default;
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -79,53 +76,38 @@ class FlightRecorder {
   std::vector<Event> CollectRecent(std::size_t max_events) const;
 
   /// Events overwritten because a ring wrapped.
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return rings_.dropped(); }
 
   /// Total events ever emitted (the current seq counter).
   std::uint64_t emitted() const {
     return seq_.load(std::memory_order_relaxed);
   }
 
-  /// Drops every retained event and resets the epoch and drop counter
-  /// (emitted() keeps counting: seq stays process-unique). Call while
-  /// emitters are quiescent.
-  void Clear();
+  /// Drops every retained event, resets the epoch and drop counter, and
+  /// applies the current ring capacity to every ring (emitted() keeps
+  /// counting: seq stays process-unique). Call while emitters are
+  /// quiescent.
+  void Clear() { rings_.Clear(); }
 
   /// Per-thread ring capacity in events; applies to rings created after
-  /// the call. Default 8192 per thread (a full serve day's bookkeeping
-  /// events plus quarantine bursts fit without wrapping).
-  void set_ring_capacity(std::size_t events);
-  std::size_t ring_capacity() const;
+  /// the call and, at the next Clear(), to existing ones. Default 8192 per
+  /// thread (a full serve day's bookkeeping events plus quarantine bursts
+  /// fit without wrapping).
+  void set_ring_capacity(std::size_t events) { rings_.set_capacity(events); }
+  std::size_t ring_capacity() const { return rings_.capacity(); }
 
   /// Nanoseconds since the recorder's epoch (monotonic clock).
-  std::uint64_t NowNs() const;
+  std::uint64_t NowNs() const { return rings_.NowNs(); }
 
   /// Steady-clock time at the recorder's epoch, for aligning event
   /// timestamps with another recorder's (the trace rings in an incident
   /// bundle share one timeline).
-  std::int64_t epoch_steady_ns() const {
-    return epoch_ns_.load(std::memory_order_relaxed);
-  }
+  std::int64_t epoch_steady_ns() const { return rings_.epoch_steady_ns(); }
 
  private:
-  struct ThreadRing {
-    mutable std::mutex mu;
-    std::vector<Event> buf;  // ring: next wraps over the oldest
-    std::size_t next = 0;
-    std::uint64_t dropped = 0;
-  };
-
-  ThreadRing* RingForThisThread();
-
-  const std::uint64_t id_;  // process-unique, guards the thread-local cache
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> seq_{0};
-  std::atomic<std::int64_t> epoch_ns_;  // steady_clock time at epoch
-
-  mutable std::mutex rings_mutex_;
-  std::vector<std::unique_ptr<ThreadRing>> rings_;
-  std::unordered_map<std::thread::id, ThreadRing*> ring_by_thread_;
-  std::size_t ring_capacity_ = 8192;
+  ThreadRings<Event> rings_{8192};
 };
 
 }  // namespace mobirescue::obs

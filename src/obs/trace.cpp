@@ -1,131 +1,28 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace mobirescue::obs {
-
-namespace {
-
-std::int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t NextRecorderId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// One-slot thread-local cache of (recorder id -> ring). The global
-// recorder dominates, so the hot path is a single integer compare; a
-// thread alternating between recorders (tests) takes the map-lookup slow
-// path. Keyed by the process-unique recorder id, not the address, so a
-// recorder destroyed and another allocated at the same address can never
-// alias a stale ring pointer.
-thread_local std::uint64_t t_ring_owner = 0;
-thread_local void* t_ring = nullptr;
-
-}  // namespace
-
-TraceRecorder::TraceRecorder()
-    : id_(NextRecorderId()), epoch_ns_(SteadyNowNs()) {}
-
-TraceRecorder::~TraceRecorder() = default;
 
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder* global = new TraceRecorder();
   return *global;
 }
 
-std::uint64_t TraceRecorder::NowNs() const {
-  const std::int64_t delta =
-      SteadyNowNs() - epoch_ns_.load(std::memory_order_relaxed);
-  return delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
-}
-
-TraceRecorder::ThreadRing* TraceRecorder::RingForThisThread() {
-  if (t_ring_owner == id_) return static_cast<ThreadRing*>(t_ring);
-  std::lock_guard lock(rings_mutex_);
-  ThreadRing*& slot = ring_by_thread_[std::this_thread::get_id()];
-  if (slot == nullptr) {
-    auto ring = std::make_unique<ThreadRing>();
-    ring->buf.reserve(ring_capacity_);
-    ring->tid = static_cast<std::uint32_t>(rings_.size() + 1);
-    slot = ring.get();
-    rings_.push_back(std::move(ring));
-  }
-  t_ring_owner = id_;
-  t_ring = slot;
-  return slot;
-}
-
 void TraceRecorder::Record(const char* name, std::uint64_t start_ns,
                            std::uint64_t dur_ns) {
-  ThreadRing* ring = RingForThisThread();
-  std::lock_guard lock(ring->mu);
-  const std::size_t capacity = ring->buf.capacity();
-  if (capacity == 0) {  // set_ring_capacity(0): tracing into the void
-    ++ring->dropped;
-    return;
-  }
-  const TraceEvent event{name, start_ns, dur_ns, ring->tid};
-  if (ring->buf.size() < capacity) {
-    ring->buf.push_back(event);
-  } else {
-    ring->buf[ring->next] = event;
-    ring->wrapped = true;
-    ++ring->dropped;
-  }
-  ring->next = (ring->next + 1) % capacity;
-}
-
-void TraceRecorder::Clear() {
-  std::lock_guard lock(rings_mutex_);
-  for (const auto& ring : rings_) {
-    std::lock_guard ring_lock(ring->mu);
-    ring->buf.clear();
-    ring->buf.reserve(ring_capacity_);
-    ring->next = 0;
-    ring->wrapped = false;
-    ring->dropped = 0;
-  }
-  epoch_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
+  rings_.Push([&](std::uint32_t tid) {
+    return TraceEvent{name, start_ns, dur_ns, tid};
+  });
 }
 
 std::vector<TraceEvent> TraceRecorder::Collect() const {
-  std::vector<TraceEvent> out;
-  std::lock_guard lock(rings_mutex_);
-  for (const auto& ring : rings_) {
-    std::lock_guard ring_lock(ring->mu);
-    out.insert(out.end(), ring->buf.begin(), ring->buf.end());
-  }
+  std::vector<TraceEvent> out = rings_.Collect();
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.start_ns < b.start_ns;
             });
   return out;
-}
-
-std::uint64_t TraceRecorder::dropped() const {
-  std::uint64_t total = 0;
-  std::lock_guard lock(rings_mutex_);
-  for (const auto& ring : rings_) {
-    std::lock_guard ring_lock(ring->mu);
-    total += ring->dropped;
-  }
-  return total;
-}
-
-void TraceRecorder::set_ring_capacity(std::size_t events) {
-  std::lock_guard lock(rings_mutex_);
-  ring_capacity_ = events;
-}
-
-std::size_t TraceRecorder::ring_capacity() const {
-  std::lock_guard lock(rings_mutex_);
-  return ring_capacity_;
 }
 
 }  // namespace mobirescue::obs

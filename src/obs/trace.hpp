@@ -2,8 +2,9 @@
 //
 // `OBS_SPAN("router.tree_build");` opens an RAII span: on scope exit the
 // (name, start, duration, thread) tuple is appended to the calling thread's
-// ring buffer. Rings are fixed-capacity and overwrite their oldest events
-// (drops are counted), so tracing a long run keeps the most recent window.
+// ring (obs/thread_rings.hpp). Rings are fixed-capacity and overwrite their
+// oldest events (drops are counted), so tracing a long run keeps the most
+// recent window.
 // The recorder exports everything as Chrome `trace_event` JSON
 // (obs/exposition.hpp) loadable in Perfetto / chrome://tracing.
 //
@@ -19,11 +20,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
+
+#include "obs/thread_rings.hpp"
 
 namespace mobirescue::obs {
 
@@ -36,8 +35,7 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  TraceRecorder();
-  ~TraceRecorder();
+  TraceRecorder() = default;
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -50,57 +48,40 @@ class TraceRecorder {
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Drops every recorded event and resets the epoch and drop counter.
-  /// Call while span traffic is quiescent (a span in flight across Clear
-  /// records with a clamped duration, never corrupts the ring).
-  void Clear();
+  /// Drops every recorded event, resets the epoch and drop counter, and
+  /// applies the current ring capacity to every ring. Call while span
+  /// traffic is quiescent (a span in flight across Clear records with a
+  /// clamped duration, never corrupts the ring).
+  void Clear() { rings_.Clear(); }
 
   /// Every retained event from every thread, sorted by start time. Safe
   /// against concurrent recording (each ring is locked briefly).
   std::vector<TraceEvent> Collect() const;
 
   /// Events overwritten because a ring wrapped.
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return rings_.dropped(); }
 
   /// Per-thread ring capacity in events; applies to rings created after
-  /// the call. Default 65536 (~2 MB per thread).
-  void set_ring_capacity(std::size_t events);
-  std::size_t ring_capacity() const;
+  /// the call and, at the next Clear(), to existing ones. Default 65536
+  /// (~2 MB per thread, reserved when the ring is created or cleared).
+  void set_ring_capacity(std::size_t events) { rings_.set_capacity(events); }
+  std::size_t ring_capacity() const { return rings_.capacity(); }
 
   /// Nanoseconds since the recorder's epoch (monotonic clock).
-  std::uint64_t NowNs() const;
+  std::uint64_t NowNs() const { return rings_.NowNs(); }
 
   /// Steady-clock time at the recorder's epoch, for aligning span
   /// timestamps with another recorder's (incident bundles merge flight
   /// events and spans onto one timeline).
-  std::int64_t epoch_steady_ns() const {
-    return epoch_ns_.load(std::memory_order_relaxed);
-  }
+  std::int64_t epoch_steady_ns() const { return rings_.epoch_steady_ns(); }
 
   /// Appends one completed span to this thread's ring. Normally called by
   /// ScopedSpan's destructor.
   void Record(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns);
 
  private:
-  struct ThreadRing {
-    mutable std::mutex mu;
-    std::vector<TraceEvent> buf;  // ring: next_ wraps over the oldest
-    std::size_t next = 0;
-    bool wrapped = false;
-    std::uint64_t dropped = 0;
-    std::uint32_t tid = 0;
-  };
-
-  ThreadRing* RingForThisThread();
-
-  const std::uint64_t id_;  // process-unique, guards the thread-local cache
   std::atomic<bool> enabled_{false};
-  std::atomic<std::int64_t> epoch_ns_;  // steady_clock time at epoch
-
-  mutable std::mutex rings_mutex_;
-  std::vector<std::unique_ptr<ThreadRing>> rings_;
-  std::unordered_map<std::thread::id, ThreadRing*> ring_by_thread_;
-  std::size_t ring_capacity_ = 65536;
+  ThreadRings<TraceEvent> rings_{65536};
 };
 
 /// RAII span: captures the start time on construction (when the recorder

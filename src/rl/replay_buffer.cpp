@@ -1,46 +1,36 @@
 #include "rl/replay_buffer.hpp"
 
 #include <numeric>
-#include <stdexcept>
 
 namespace mobirescue::rl {
 
 void ReplayBuffer::Push(Transition t) {
   ++pushes_;
   pushes_total_.Increment();
-  if (data_.size() < capacity_) {
-    data_.push_back(std::move(t));
-  } else {
-    ++evictions_;
-    evictions_total_.Increment();
-    data_[next_] = std::move(t);
-    next_ = (next_ + 1) % capacity_;
-  }
-}
-
-void ReplayBuffer::PushConcurrent(Transition t) {
-  std::lock_guard<std::mutex> lock(append_mutex_);
-  Push(std::move(t));
+  const std::uint64_t evicted = ring_.evictions();
+  ring_.Push(std::move(t));
+  if (ring_.evictions() != evicted) evictions_total_.Increment();
 }
 
 std::vector<const Transition*> ReplayBuffer::Sample(std::size_t n,
                                                     util::Rng& rng) const {
+  const std::vector<Transition>& data = ring_.data();
   std::vector<const Transition*> out;
-  if (data_.empty()) return out;
+  if (data.empty()) return out;
   out.reserve(n);
-  if (n <= data_.size()) {
+  if (n <= data.size()) {
     // Without replacement (partial Fisher-Yates): a minibatch never
     // contains the same transition twice, which matters early in training
     // when the buffer is barely larger than the batch.
-    std::vector<std::size_t> idx(data_.size());
+    std::vector<std::size_t> idx(data.size());
     std::iota(idx.begin(), idx.end(), 0);
     for (std::size_t i = 0; i < n; ++i) {
       std::swap(idx[i], idx[i + rng.Index(idx.size() - i)]);
-      out.push_back(&data_[idx[i]]);
+      out.push_back(&data[idx[i]]);
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(&data_[rng.Index(data_.size())]);
+      out.push_back(&data[rng.Index(data.size())]);
     }
   }
   return out;
@@ -48,16 +38,8 @@ std::vector<const Transition*> ReplayBuffer::Sample(std::size_t n,
 
 void ReplayBuffer::Restore(std::vector<Transition> data, std::size_t cursor,
                            std::uint64_t pushes, std::uint64_t evictions) {
-  if (data.size() > capacity_) {
-    throw std::invalid_argument("ReplayBuffer::Restore: data over capacity");
-  }
-  if (capacity_ != 0 && cursor >= capacity_) {
-    throw std::invalid_argument("ReplayBuffer::Restore: cursor out of range");
-  }
-  data_ = std::move(data);
-  next_ = cursor;
+  ring_.Restore(std::move(data), cursor, evictions);
   pushes_ = pushes;
-  evictions_ = evictions;
 }
 
 }  // namespace mobirescue::rl

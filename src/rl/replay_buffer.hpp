@@ -6,21 +6,18 @@
 // the feature vectors of every candidate available at the next round (for
 // the max_a' Q(s', a') bootstrap target).
 //
-// Threading contract: Push() is the single-writer fast path (offline
-// training, the serving tick loop). PushConcurrent() serialises appends
-// under an internal mutex for multi-producer collectors. Sample()/size()
-// and the checkpoint accessors are NOT synchronised against concurrent
-// appends — callers must quiesce producers (or hold their own lock) before
-// reading; the online learner does this by running its entire tick phase
-// on the serving thread.
+// Threading contract: single writer. Push(), Sample() and the checkpoint
+// accessors are not synchronised; offline training and the online learner
+// (which runs its whole tick phase on the serving thread) each own their
+// buffer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 
 namespace mobirescue::rl {
@@ -38,20 +35,20 @@ struct Transition {
 
 class ReplayBuffer {
  public:
-  explicit ReplayBuffer(std::size_t capacity) : capacity_(capacity) {}
+  /// Storage grows with the pushes (util::Ring), so `capacity` is only a
+  /// bound; 0 keeps nothing and counts every push as an eviction.
+  explicit ReplayBuffer(std::size_t capacity) : ring_(capacity) {}
 
   void Push(Transition t);
-  /// Mutex-guarded append for concurrent producers (see file comment).
-  void PushConcurrent(Transition t);
-  std::size_t size() const { return data_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  bool empty() const { return data_.empty(); }
+  std::size_t size() const { return ring_.size(); }
+  std::size_t capacity() const { return ring_.capacity(); }
+  bool empty() const { return ring_.empty(); }
 
   /// Lifetime append/eviction totals (evictions = appends that overwrote
   /// the oldest slot once the ring was full). Also exported through the
   /// obs registry as rl_replay_pushes_total / rl_replay_evictions_total.
   std::uint64_t pushes() const { return pushes_; }
-  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t evictions() const { return ring_.evictions(); }
 
   /// Uniform random sample: without replacement when n <= size() (no
   /// transition appears twice in a minibatch), with replacement otherwise.
@@ -59,19 +56,16 @@ class ReplayBuffer {
 
   // Checkpointing access: the stored transitions in slot order plus the
   // ring cursor. Restore() rebuilds both so sampling after a restore is
-  // bit-identical to the uninterrupted run.
-  const std::vector<Transition>& data() const { return data_; }
-  std::size_t cursor() const { return next_; }
+  // bit-identical to the uninterrupted run; it throws std::invalid_argument
+  // on data over capacity or a cursor out of range.
+  const std::vector<Transition>& data() const { return ring_.data(); }
+  std::size_t cursor() const { return ring_.oldest(); }
   void Restore(std::vector<Transition> data, std::size_t cursor,
                std::uint64_t pushes, std::uint64_t evictions);
 
  private:
-  std::size_t capacity_;
-  std::size_t next_ = 0;
-  std::vector<Transition> data_;
-  std::mutex append_mutex_;
+  util::Ring<Transition> ring_;
   std::uint64_t pushes_ = 0;
-  std::uint64_t evictions_ = 0;
 
   obs::Counter pushes_total_{"rl_replay_pushes_total",
                              "Transitions appended to a replay buffer."};

@@ -144,7 +144,6 @@ void DispatchService::AdvanceStateTo(util::SimTime now) {
       applicable_.push_back(r);
     } else {
       deferred_.push_back(r);
-      ++deferred_total_;
       ++parked;
     }
   }
@@ -189,7 +188,6 @@ sim::DispatchDecision DispatchService::Tick(
         // Degradation ladder rung 2 (DESIGN.md §13): the tick must still
         // produce a decision — greedy nearest-team dispatch. The cooldown
         // itself is armed below by the health engine's decide-error rule.
-        ++decide_errors_;
         decide_errors_counter_.Increment();
         primary_threw = true;
         decision = fallback_.Decide(context);
@@ -206,7 +204,6 @@ sim::DispatchDecision DispatchService::Tick(
     // The decision is already made (and used) — the budget protects the
     // *next* ticks from a dispatcher that has become slow. The counter
     // stays here; degrading is the decide-budget rule's call.
-    ++budget_overruns_;
     overrun_counter_.Increment();
   }
   // SLO health evaluation (DESIGN.md §16), off the decision path. The
@@ -221,10 +218,7 @@ sim::DispatchDecision DispatchService::Tick(
     degraded_remaining_ =
         std::max(degraded_remaining_, config_.degraded_cooldown_ticks);
   }
-  if (used_fallback) {
-    ++fallback_ticks_;
-    fallback_counter_.Increment();
-  }
+  if (used_fallback) fallback_counter_.Increment();
   if (used_fallback != fallback_active_) {
     if (used_fallback) {
       std::snprintf(attrs, sizeof(attrs), "tick=%llu reason=%s", tick_no,
@@ -242,7 +236,6 @@ sim::DispatchDecision DispatchService::Tick(
   decision_ms_.push_back(drain + decide);
   drain_hist_.Observe(drain);
   decide_hist_.Observe(decide);
-  ++ticks_;
   ++lifetime_ticks_;
   ticks_total_.Increment();
   people_gauge_.Set(static_cast<double>(state_.num_people_seen()));
@@ -275,7 +268,6 @@ sim::DispatchDecision DispatchService::Tick(
     const auto c0 = std::chrono::steady_clock::now();
     try {
       SaveCheckpointToFile(Checkpoint(), config_.checkpoint_path);
-      ++checkpoints_written_;
       checkpoint_counter_.Increment();
       std::snprintf(attrs, sizeof(attrs), "tick=%llu", tick_no);
       flight.Emit(obs::Severity::kInfo, "serve", "checkpoint", attrs);
@@ -351,9 +343,6 @@ void DispatchService::RestoreServingState(const ServiceCheckpoint& ckpt) {
   deferred_ = ckpt.serving.deferred;
   watermark_ = ckpt.serving.watermark;
   lifetime_ticks_ = ckpt.serving.ticks;
-  // The restored service continues the crashed instance's reporting
-  // window: its tick count keeps climbing from where the snapshot was.
-  ticks_ = ckpt.serving.ticks;
   if (learner_ != nullptr && !ckpt.learner_state.empty()) {
     // The live agent's (possibly promoted) weights came back through the
     // checkpoint's DQN section; this restores everything around them —
@@ -361,7 +350,6 @@ void DispatchService::RestoreServingState(const ServiceCheckpoint& ckpt) {
     // window, promotion state machine and the rollback snapshot.
     learner_->LoadStateString(ckpt.learner_state);
   }
-  ++recoveries_;
   recovery_counter_.Increment();
   // The restore edge is incident-worthy in itself: the flight window shows
   // what the crashed instance was doing, the metric delta what was lost.
@@ -375,27 +363,15 @@ void DispatchService::RestoreServingState(const ServiceCheckpoint& ckpt) {
   DumpIncident("restore");
 }
 
-void DispatchService::ResetMetrics() {
-  ticks_ = 0;
-  deferred_total_ = 0;
-  decide_ms_.clear();
-  drain_ms_.clear();
-  decision_ms_.clear();
-  learn_ms_.clear();
-  fallback_ticks_ = 0;
-  decide_errors_ = 0;
-  budget_overruns_ = 0;
-  checkpoints_written_ = 0;
-}
-
 ServiceMetrics DispatchService::metrics() const {
   ServiceMetrics m;
   m.ingest = queue_.counters();
   m.state = state_.counters();
   m.queue_depths = queue_.Depths();
   m.shard_imbalance = queue_.ShardImbalance();
-  m.ticks = ticks_;
-  m.deferred = deferred_total_;
+  // The restored service continues the crashed instance's tick count.
+  m.ticks = lifetime_ticks_;
+  m.deferred = deferred_counter_.Value();
   m.people_tracked = state_.num_people_seen();
   m.decide_ms = util::Summarize(decide_ms_);
   m.drain_ms = util::Summarize(drain_ms_);
@@ -407,11 +383,11 @@ ServiceMetrics DispatchService::metrics() const {
   if (mobirescue_ != nullptr) {
     m.router_cache = mobirescue_->featurizer().router().cache_stats();
   }
-  m.fallback_ticks = fallback_ticks_;
-  m.decide_errors = decide_errors_;
-  m.budget_overruns = budget_overruns_;
-  m.checkpoints_written = checkpoints_written_;
-  m.recoveries = recoveries_;
+  m.fallback_ticks = fallback_counter_.Value();
+  m.decide_errors = decide_errors_counter_.Value();
+  m.budget_overruns = overrun_counter_.Value();
+  m.checkpoints_written = checkpoint_counter_.Value();
+  m.recoveries = recovery_counter_.Value();
   m.incidents = incidents_ != nullptr ? incidents_->dumps() : 0;
   m.health_trips = health_.trips();
   m.degraded = degraded_remaining_ > 0;

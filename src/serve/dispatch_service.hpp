@@ -96,13 +96,10 @@ struct ServiceConfig {
 
 /// One consistent view of the service's health, for benches and /metrics.
 ///
-/// Window semantics: the counter-like fields (ingest, router_cache) are
-/// thin views over cumulative registry-backed instruments and never reset;
-/// ticks/deferred/latency percentiles and the degradation counters cover
-/// the current reporting window — since construction or the last
-/// ResetMetrics(). The registry instruments (serve_ticks_total,
-/// serve_tick_decide_ms, ...) stay cumulative across resets, as Prometheus
-/// requires.
+/// Every count is read from this service instance's own registry
+/// instruments (exact per instance, never reset), except `ticks`, which is
+/// the lifetime tick count a checkpoint restores. The latency summaries
+/// cover every tick this instance served.
 struct ServiceMetrics {
   IngestCounters ingest;
   StreamStateCounters state;
@@ -131,13 +128,12 @@ struct ServiceMetrics {
   /// The dispatcher featurizer's shortest-path-tree cache (MobiRescue
   /// dispatcher only; zeros otherwise).
   roadnet::RouterCacheStats router_cache;
-  // Degradation ladder (DESIGN.md §13), window-scoped:
+  // Degradation ladder (DESIGN.md §13):
   std::uint64_t fallback_ticks = 0;    // ticks served by the greedy fallback
   std::uint64_t decide_errors = 0;     // primary Decide() throws
   std::uint64_t budget_overruns = 0;   // ticks over decide_budget_ms
   std::uint64_t checkpoints_written = 0;
-  /// Crash recoveries this service instance performed (lifetime, not
-  /// window: survives ResetMetrics).
+  /// Crash recoveries this service instance performed.
   std::uint64_t recoveries = 0;
   /// Incident bundles this service dumped (lifetime; 0 when the incident
   /// writer is disabled).
@@ -151,8 +147,7 @@ struct ServiceMetrics {
   /// with config.learn.enabled.
   bool learning = false;
   learn::LearnMetrics learn;
-  /// Per-tick learner wall time (collector + shadow + trainer + gate), ms;
-  /// window-scoped like decide_ms.
+  /// Per-tick learner wall time (collector + shadow + trainer + gate), ms.
   util::PercentileSummary learn_ms;
 };
 
@@ -241,14 +236,6 @@ class DispatchService {
   /// The service's SLO health engine (verdict history, rule list).
   const obs::HealthEngine& health() const { return health_; }
 
-  /// Starts a new reporting window: clears the per-tick latency samples
-  /// and the window tick/deferred/degradation counts, so a long-lived
-  /// service serving episode after episode reports per-window percentiles
-  /// instead of lifetime-mixed samples. Cumulative registry instruments
-  /// (and the ingest/router-cache views) are untouched. Call between
-  /// episodes, not concurrently with Tick().
-  void ResetMetrics();
-
   sim::Dispatcher& dispatcher() { return *dispatcher_; }
   /// The online learner; nullptr unless config.learn.enabled on a
   /// MobiRescue service.
@@ -293,18 +280,16 @@ class DispatchService {
   /// Incident-bundle writer; null unless config.incident.dir is set.
   std::unique_ptr<obs::IncidentWriter> incidents_;
 
-  // Tick-loop state (single consumer). ticks_/deferred_total_ and the
-  // latency sample vectors are window-scoped (see ResetMetrics); the obs
-  // instruments below mirror them cumulatively for exposition.
+  // Tick-loop state (single consumer). The per-tick latency samples keep
+  // exact order statistics for metrics(); every count lives in the obs
+  // instruments below.
   std::vector<mobility::GpsRecord> incoming_;
   std::vector<mobility::GpsRecord> deferred_;
   /// Drained records due this tick, handed to StreamState::ApplyBatch in
   /// drain order (the sharded state batches its matching per drain).
   std::vector<mobility::GpsRecord> applicable_;
   util::SimTime watermark_ = 0.0;
-  std::uint64_t ticks_ = 0;
   std::uint64_t lifetime_ticks_ = 0;
-  std::uint64_t deferred_total_ = 0;
   std::vector<double> decide_ms_;
   std::vector<double> drain_ms_;
   std::vector<double> decision_ms_;
@@ -316,11 +301,6 @@ class DispatchService {
   bool fallback_active_ = false;
   /// Learner rollbacks already incident-dumped (edge detection).
   std::uint64_t learner_rollbacks_seen_ = 0;
-  std::uint64_t fallback_ticks_ = 0;
-  std::uint64_t decide_errors_ = 0;
-  std::uint64_t budget_overruns_ = 0;
-  std::uint64_t checkpoints_written_ = 0;
-  std::uint64_t recoveries_ = 0;
 
   obs::Counter ticks_total_{"serve_ticks_total",
                             "Dispatch ticks executed."};

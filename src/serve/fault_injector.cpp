@@ -10,6 +10,7 @@
 #include "obs/recorder.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/dispatch_service.hpp"
+#include "util/rng.hpp"
 
 namespace mobirescue::serve {
 
@@ -24,14 +25,6 @@ constexpr std::uint64_t kSaltReorder = 5;
 constexpr std::uint64_t kSaltDuplicate = 6;
 constexpr std::uint64_t kSaltDecide = 7;
 constexpr std::uint64_t kSaltPredictor = 8;
-
-std::uint64_t Mix(std::uint64_t x) {
-  // splitmix64 finalizer.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t DoubleBits(double v) {
   std::uint64_t bits = 0;
@@ -76,9 +69,9 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
 
 double FaultInjector::UnitHash(std::uint64_t a, std::uint64_t b,
                                std::uint64_t salt) const {
-  std::uint64_t h = Mix(plan_.seed ^ Mix(salt));
-  h = Mix(h ^ a);
-  h = Mix(h ^ b);
+  std::uint64_t h = util::SplitMix64(plan_.seed ^ util::SplitMix64(salt));
+  h = util::SplitMix64(h ^ a);
+  h = util::SplitMix64(h ^ b);
   // Top 53 bits -> [0, 1).
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace mobirescue::serve {
 
 ShardedIngestQueue::ShardedIngestQueue(IngestQueueConfig config)
@@ -17,13 +19,9 @@ ShardedIngestQueue::ShardedIngestQueue(IngestQueueConfig config)
 
 std::size_t ShardedIngestQueue::ShardOf(mobility::PersonId person,
                                         std::size_t num_shards) {
-  // splitmix64 finalizer: adjacent person ids land on unrelated shards.
-  std::uint64_t x = static_cast<std::uint64_t>(
-      static_cast<std::uint32_t>(person));
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
+  // splitmix64: adjacent person ids land on unrelated shards.
+  const std::uint64_t x = util::SplitMix64(
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(person)));
   return static_cast<std::size_t>(x % num_shards);
 }
 

@@ -12,6 +12,15 @@
 
 namespace mobirescue::util {
 
+/// splitmix64: a full-avalanche stateless mix of `x`. The project's one
+/// hash for derived seeds, shard keys and seeded fault draws.
+constexpr std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// Seedable random source wrapping a 64-bit Mersenne Twister with convenience
 /// samplers. Copyable; copies evolve independently.
 class Rng {

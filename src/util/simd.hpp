@@ -14,8 +14,12 @@
 // vectors never changes the answer, and the scalar-parity contracts in
 // DESIGN.md §17.2 hold under either clone. Enabling FMA would break this
 // (contraction skips the intermediate rounding); do not add it.
+//
+// ThreadSanitizer builds get the default body only: the ifunc resolver
+// runs during relocation, before the TSan runtime is up, and crashes the
+// process at startup.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__clang__)
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define MR_TARGET_CLONES __attribute__((target_clones("default", "avx2")))
 #else
 #define MR_TARGET_CLONES

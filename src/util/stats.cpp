@@ -146,34 +146,6 @@ std::vector<std::pair<double, double>> EmpiricalCdf::Curve(
   return curve;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: bad bounds/bins");
-  }
-}
-
-void Histogram::Add(double x) {
-  const double span = hi_ - lo_;
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::BinCenter(std::size_t bin) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * w;
-}
-
-double Histogram::Fraction(std::size_t bin) const {
-  return total_ == 0 ? 0.0
-                     : static_cast<double>(counts_.at(bin)) /
-                           static_cast<double>(total_);
-}
-
 void RunningStats::Add(double x) {
   if (n_ == 0) {
     min_ = max_ = x;

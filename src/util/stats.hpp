@@ -1,7 +1,7 @@
 // Descriptive statistics used by the dataset-measurement reproductions
 // (Section III) and the evaluation harness (Section V): means, standard
 // deviations, Pearson correlation (Table I), empirical CDFs (Figs 3, 10, 12,
-// 13, 15, 16) and simple histograms.
+// 13, 15, 16) and percentile summaries.
 #pragma once
 
 #include <cstddef>
@@ -81,25 +81,6 @@ class EmpiricalCdf {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; samples outside
-/// the range are clamped into the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double BinCenter(std::size_t bin) const;
-  double Fraction(std::size_t bin) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Streaming mean/std/min/max accumulator (Welford).

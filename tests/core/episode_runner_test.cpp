@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace mobirescue::core {
 namespace {
 
@@ -27,6 +29,24 @@ TEST(EpisodeRunnerTest, DeriveSeedIsDeterministicAndWellSeparated) {
     }
   }
   EXPECT_EQ(seeds.size(), 4u * 64u);  // no collisions among nearby keys
+}
+
+TEST(EpisodeRunnerTest, DeriveSeedKeepsItsRecordedValues) {
+  // DeriveSeed(base, i) is splitmix64 of base + golden * i; these values
+  // were recorded before it was rewritten onto util::SplitMix64, and every
+  // seeded experiment depends on them.
+  EXPECT_EQ(EpisodeRunner::DeriveSeed(0, 0), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(EpisodeRunner::DeriveSeed(0, 1), 0x6E789E6AA1B965F4ULL);
+  EXPECT_EQ(EpisodeRunner::DeriveSeed(1, 7), 0x85E7BB0F12278575ULL);
+  EXPECT_EQ(EpisodeRunner::DeriveSeed(42, 1000), 0x5566DBE893F1B4AEULL);
+  EXPECT_EQ(EpisodeRunner::DeriveSeed(~std::uint64_t{0}, 7),
+            0x405DA438A39E8064ULL);
+  for (std::uint64_t base : {0ULL, 1ULL, 42ULL}) {
+    for (std::uint64_t i : {0ULL, 3ULL, 1000ULL}) {
+      EXPECT_EQ(EpisodeRunner::DeriveSeed(base, i),
+                util::SplitMix64(base + 0x9E3779B97F4A7C15ULL * i));
+    }
+  }
 }
 
 TEST(EpisodeRunnerTest, MapPreservesIndexOrder) {

@@ -219,6 +219,36 @@ TEST_F(LearnServiceTest, FrozenTrainerObservesWithoutChangingDecisions) {
   EXPECT_DOUBLE_EQ(run.metrics.learn.shadow_agreement, 1.0);
 }
 
+TEST_F(LearnServiceTest, ZeroCapacityReplayBufferServesAShortDay) {
+  // buffer_capacity = 0 keeps no experience: every collected transition is
+  // counted as an eviction, the trainer never finds a minibatch, and the
+  // service keeps deciding on the primary dispatcher.
+  serve::ServiceConfig config = BaseServiceConfig();
+  config.learn = AggressiveLearnConfig();
+  config.learn.buffer_capacity = 0;
+  serve::DispatchService service(*world_->city, *world_->index, *svm_,
+                                 CloneAgent(), DayOffset(), config);
+  sim::RescueSimulator simulator = MakeSimulator();
+  serve::TraceStreamer streamer(DayTrace(), service);
+  sim::DispatchContext ctx;
+  int ticks = 0;
+  while (ticks < 48 && simulator.NextRound(service.dispatcher(), &ctx)) {
+    streamer.WaitDelivered(ctx.now);
+    simulator.SubmitDecision(service.Tick(ctx));
+    ++ticks;
+  }
+  ASSERT_EQ(ticks, 48);
+  const serve::ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.ticks, 48u);
+  EXPECT_EQ(m.fallback_ticks, 0u);
+  EXPECT_GT(m.learn.transitions, 0u);
+  EXPECT_EQ(m.learn.train_steps, 0u);
+  const rl::ReplayBuffer& buffer = service.learner()->candidate().buffer();
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_GT(buffer.pushes(), 0u);
+  EXPECT_EQ(buffer.evictions(), buffer.pushes());
+}
+
 TEST_F(LearnServiceTest, LearningLoopIsDeterministic) {
   // The acceptance bar: (seed, tick stream) fully determine the loop. Two
   // identical runs make identical promotion decisions and end with

@@ -1,12 +1,10 @@
 // PromotionController state machine and gate semantics over small synthetic
-// agents, BudgetedTrainer budgets, ShadowPolicyRunner scoring, and the
-// ReplayBuffer's concurrent-append path feeding deterministic sampling.
+// agents, BudgetedTrainer budgets and ShadowPolicyRunner scoring.
 #include "learn/promotion_controller.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "learn/budgeted_trainer.hpp"
@@ -317,52 +315,6 @@ TEST(ShadowRunnerTest, AgreesWithItselfAndFlagsNonFiniteQ) {
   runner.OnTick(2, cap);
   EXPECT_FALSE(runner.log().back().q_finite);
   EXPECT_TRUE(runner.SawNonFiniteQ(idx));
-}
-
-TEST(ReplayBufferConcurrencyTest, ConcurrentAppendsThenDeterministicSampling) {
-  constexpr std::size_t kCapacity = 128;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 100;
-  rl::ReplayBuffer buffer(kCapacity);
-
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&buffer, w] {
-      for (int i = 0; i < kPerThread; ++i) {
-        buffer.PushConcurrent(MakeTransition(w + 0.001 * i));
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-
-  // Exact counters regardless of interleaving: every append counted, and
-  // every append past capacity evicted exactly one slot.
-  EXPECT_EQ(buffer.size(), kCapacity);
-  EXPECT_EQ(buffer.pushes(), static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(buffer.evictions(),
-            static_cast<std::uint64_t>(kThreads * kPerThread - kCapacity));
-
-  // Sampling after the concurrent era is a pure function of (content,
-  // rng): same seed, same minibatch.
-  util::Rng rng_a(77), rng_b(77);
-  const auto sample_a = buffer.Sample(32, rng_a);
-  const auto sample_b = buffer.Sample(32, rng_b);
-  ASSERT_EQ(sample_a.size(), sample_b.size());
-  for (std::size_t i = 0; i < sample_a.size(); ++i) {
-    EXPECT_EQ(sample_a[i], sample_b[i]) << "sample index " << i;
-  }
-
-  // And a Restore()d buffer samples identically to the original.
-  rl::ReplayBuffer copy(kCapacity);
-  copy.Restore(buffer.data(), buffer.cursor(), buffer.pushes(),
-               buffer.evictions());
-  util::Rng rng_c(77);
-  const auto sample_c = copy.Sample(32, rng_c);
-  ASSERT_EQ(sample_c.size(), sample_a.size());
-  for (std::size_t i = 0; i < sample_a.size(); ++i) {
-    EXPECT_EQ(sample_a[i]->reward, sample_c[i]->reward);
-    EXPECT_EQ(sample_a[i]->features, sample_c[i]->features);
-  }
 }
 
 }  // namespace

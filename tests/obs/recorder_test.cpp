@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace mobirescue::obs {
 namespace {
 
@@ -84,6 +86,68 @@ TEST(FlightRecorderTest, ClearDropsEventsButSeqKeepsCounting) {
   ASSERT_EQ(events.size(), 1u);
   // seq stays process-unique across Clear, so bundles never alias events.
   EXPECT_EQ(events[0].seq, 2u);
+}
+
+TEST(FlightRecorderTest, ClearAppliesALoweredOrRaisedCapacity) {
+  FlightRecorder rec;
+  rec.Emit(Severity::kInfo, "serve", "before");
+  rec.set_ring_capacity(4);
+  rec.Clear();
+  for (int i = 0; i < 10; ++i) rec.Emit(Severity::kInfo, "serve", "lowered");
+  EXPECT_EQ(rec.Collect().size(), 4u);
+  EXPECT_EQ(rec.dropped(), 6u);
+
+  rec.set_ring_capacity(16);
+  rec.Clear();
+  for (int i = 0; i < 10; ++i) rec.Emit(Severity::kInfo, "serve", "raised");
+  EXPECT_EQ(rec.Collect().size(), 10u);
+  EXPECT_EQ(rec.dropped(), 0u);
+}
+
+TEST(FlightRecorderTest, SpansAndEventsOnOneThreadKeepTheirOwnRings) {
+  // Each element type has its own thread-local ring cache: interleaving
+  // spans and flight events on one thread lands every element in the
+  // right recorder.
+  FlightRecorder flight;
+  TraceRecorder trace;
+  trace.Enable();
+  for (int i = 0; i < 5; ++i) {
+    ScopedSpan span("work", trace);
+    flight.Emit(Severity::kInfo, "serve", "tick", "n=" + std::to_string(i));
+  }
+  const std::vector<Event> events = flight.Collect();
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events[4].attrs, "n=4");
+  const std::vector<TraceEvent> spans = trace.Collect();
+  ASSERT_EQ(spans.size(), 5u);
+  for (const TraceEvent& s : spans) EXPECT_STREQ(s.name, "work");
+}
+
+TEST(FlightRecorderTest, CollectUnderConcurrentEmission) {
+  FlightRecorder rec;
+  rec.set_ring_capacity(256);
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&rec] {
+      for (int i = 0; i < kPerThread; ++i) {
+        rec.Emit(Severity::kInfo, "bench", "churn", "i=" + std::to_string(i));
+      }
+    });
+  }
+  // Collect while the rings wrap underneath: always seq-sorted and whole.
+  for (int i = 0; i < 50; ++i) {
+    const std::vector<Event> events = rec.Collect();
+    for (std::size_t k = 1; k < events.size(); ++k) {
+      ASSERT_LT(events[k - 1].seq, events[k].seq);
+    }
+    for (const Event& e : events) ASSERT_STREQ(e.kind, "churn");
+    (void)rec.dropped();
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(rec.Collect().size(), kThreads * 256u);
+  EXPECT_EQ(rec.dropped(), kThreads * (kPerThread - 256u));
 }
 
 TEST(FlightRecorderTest, ConcurrentEmittersGetUniqueTotalOrder) {

@@ -92,6 +92,29 @@ TEST(TraceTest, ZeroCapacityDropsEverything) {
   EXPECT_EQ(rec.dropped(), 1u);
 }
 
+TEST(TraceTest, ClearAppliesALoweredOrRaisedCapacity) {
+  // An existing ring takes the current capacity at Clear(), in both
+  // directions (a lowered one used to be ignored).
+  TraceRecorder rec;
+  rec.Enable();
+  { ScopedSpan span("before", rec); }
+  rec.set_ring_capacity(4);
+  rec.Clear();
+  for (int i = 0; i < 10; ++i) {
+    ScopedSpan span("lowered", rec);
+  }
+  EXPECT_EQ(rec.Collect().size(), 4u);
+  EXPECT_EQ(rec.dropped(), 6u);
+
+  rec.set_ring_capacity(16);
+  rec.Clear();
+  for (int i = 0; i < 10; ++i) {
+    ScopedSpan span("raised", rec);
+  }
+  EXPECT_EQ(rec.Collect().size(), 10u);
+  EXPECT_EQ(rec.dropped(), 0u);
+}
+
 TEST(TraceTest, ThreadsGetDistinctStableTids) {
   TraceRecorder rec;
   rec.Enable();
@@ -140,6 +163,8 @@ TEST(TraceTest, CollectUnderConcurrentRecording) {
     }
   }
   for (std::thread& t : threads) t.join();
+  EXPECT_EQ(rec.Collect().size(), 3u * 1024u);
+  EXPECT_EQ(rec.dropped(), 3u * (20000u - 1024u));
 }
 
 TEST(TraceTest, SeparateRecordersAreIndependent) {

@@ -1,9 +1,10 @@
-// Property tests for the spatial index and the batched geo kernels: over
+// Property tests for the spatial index and its batched scan: over
 // random road networks and random query points (inside the box, far outside
 // it, with and without radius limits, with long segments whose nearest point
 // is far from their bucketed midpoint), the grid-accelerated nearest-segment
-// answer must match brute force, and the batched SoA path must return the
-// same segment id as the scalar reference for every query.
+// answer must match brute force, and the batched SoA scan
+// (SpatialIndex::NearestSegments) must return the same segment id as the
+// scalar query for every point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,6 @@
 #include "roadnet/road_network.hpp"
 #include "roadnet/spatial_index.hpp"
 #include "util/geo.hpp"
-#include "util/geo_batch.hpp"
 #include "util/rng.hpp"
 
 namespace mobirescue::roadnet {
@@ -124,35 +124,6 @@ TEST(GeoPropertyTest, BatchedNearestMatchesScalarOnRandomWorlds) {
     for (std::size_t i = 0; i < pts.size(); ++i) {
       ASSERT_EQ(index.NearestSegment(pts[i], radius), batch[i])
           << "world " << world << " query " << i;
-    }
-  }
-}
-
-TEST(GeoPropertyTest, BatchedKernelsMatchScalarOnRandomInputs) {
-  util::Rng rng(31337);
-  for (int round = 0; round < 5; ++round) {
-    const std::size_t n = 64 + rng.Index(512);
-    std::vector<double> a_lat(n), a_lon(n), b_lat(n), b_lon(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a_lat[i] = rng.Uniform(-60.0, 60.0);
-      a_lon[i] = rng.Uniform(-179.0, 179.0);
-      b_lat[i] = a_lat[i] + rng.Uniform(-0.5, 0.5);
-      b_lon[i] = a_lon[i] + rng.Uniform(-0.5, 0.5);
-    }
-    const util::GeoPoint ref{rng.Uniform(-60.0, 60.0),
-                             rng.Uniform(-179.0, 179.0)};
-    std::vector<double> approx(n), hav(n), p2s(n);
-    util::ApproxDistanceMetersBatch(a_lat.data(), a_lon.data(), n, ref,
-                                    approx.data());
-    util::HaversineMetersBatch(a_lat.data(), a_lon.data(), n, ref, hav.data());
-    util::PointToSegmentMetersBatch(ref, a_lat.data(), a_lon.data(),
-                                    b_lat.data(), b_lon.data(), n, p2s.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const util::GeoPoint a{a_lat[i], a_lon[i]};
-      const util::GeoPoint b{b_lat[i], b_lon[i]};
-      ASSERT_EQ(util::ApproxDistanceMeters(a, ref), approx[i]);
-      ASSERT_EQ(util::HaversineMeters(a, ref), hav[i]);
-      ASSERT_EQ(util::PointToSegmentMeters(ref, a, b), p2s[i]);
     }
   }
 }

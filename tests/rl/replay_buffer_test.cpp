@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace mobirescue::rl {
 namespace {
@@ -101,6 +102,73 @@ TEST(ReplayBufferTest, StoresFullTransitionPayload) {
   EXPECT_EQ(got->next_candidates.size(), 2u);
   EXPECT_TRUE(got->terminal);
   EXPECT_EQ(got->duration_rounds, 7);
+}
+
+TEST(ReplayBufferTest, WrappedBufferSamplesDeterministicallyAndRestores) {
+  constexpr std::size_t kCapacity = 128;
+  constexpr int kPushes = 400;
+  ReplayBuffer buffer(kCapacity);
+  for (int i = 0; i < kPushes; ++i) buffer.Push(Make(0.001 * i));
+
+  // Every append counted, and every append past capacity evicted exactly
+  // one slot.
+  EXPECT_EQ(buffer.size(), kCapacity);
+  EXPECT_EQ(buffer.pushes(), static_cast<std::uint64_t>(kPushes));
+  EXPECT_EQ(buffer.evictions(), static_cast<std::uint64_t>(kPushes) - kCapacity);
+  EXPECT_EQ(buffer.cursor(), (kPushes - kCapacity) % kCapacity);
+
+  // Sampling is a pure function of (content, rng): same seed, same
+  // minibatch.
+  util::Rng rng_a(77), rng_b(77);
+  const auto sample_a = buffer.Sample(32, rng_a);
+  const auto sample_b = buffer.Sample(32, rng_b);
+  ASSERT_EQ(sample_a.size(), sample_b.size());
+  for (std::size_t i = 0; i < sample_a.size(); ++i) {
+    EXPECT_EQ(sample_a[i], sample_b[i]) << "sample index " << i;
+  }
+
+  // A Restore()d buffer samples identically to the original, and keeps
+  // overwriting from the same slot.
+  ReplayBuffer copy(kCapacity);
+  copy.Restore(buffer.data(), buffer.cursor(), buffer.pushes(),
+               buffer.evictions());
+  util::Rng rng_c(77);
+  const auto sample_c = copy.Sample(32, rng_c);
+  ASSERT_EQ(sample_c.size(), sample_a.size());
+  for (std::size_t i = 0; i < sample_a.size(); ++i) {
+    EXPECT_EQ(sample_a[i]->reward, sample_c[i]->reward);
+    EXPECT_EQ(sample_a[i]->features, sample_c[i]->features);
+  }
+  buffer.Push(Make(-1.0));
+  copy.Push(Make(-1.0));
+  ASSERT_EQ(copy.data().size(), buffer.data().size());
+  for (std::size_t i = 0; i < buffer.data().size(); ++i) {
+    EXPECT_EQ(copy.data()[i].reward, buffer.data()[i].reward);
+  }
+  EXPECT_EQ(copy.cursor(), buffer.cursor());
+}
+
+TEST(ReplayBufferTest, ZeroCapacityKeepsNothingAndCountsEvictions) {
+  ReplayBuffer buffer(0);
+  for (int i = 0; i < 3; ++i) buffer.Push(Make(i));
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.pushes(), 3u);
+  EXPECT_EQ(buffer.evictions(), 3u);
+  EXPECT_EQ(buffer.cursor(), 0u);
+  util::Rng rng(5);
+  EXPECT_TRUE(buffer.Sample(4, rng).empty());
+}
+
+TEST(ReplayBufferTest, RestoreRejectsOverCapacityAndCursorOutOfRange) {
+  ReplayBuffer buffer(2);
+  EXPECT_THROW(buffer.Restore({Make(1), Make(2), Make(3)}, 0, 3, 1),
+               std::invalid_argument);
+  EXPECT_THROW(buffer.Restore({Make(1), Make(2)}, 2, 3, 1),
+               std::invalid_argument);
+  ReplayBuffer empty(0);
+  EXPECT_THROW(empty.Restore({}, 1, 0, 0), std::invalid_argument);
+  EXPECT_NO_THROW(empty.Restore({}, 0, 5, 5));
+  EXPECT_EQ(empty.evictions(), 5u);
 }
 
 }  // namespace

@@ -291,6 +291,26 @@ TEST(CheckpointFileTest, FailedSaveKeepsThePreviousCheckpoint) {
   std::filesystem::remove(path);
 }
 
+TEST(HostileCapacityTest, HugeDqnBufferCapacitySizesNoAllocation) {
+  // The DQN section's buffer_capacity is only a bound: the replay ring
+  // allocates as transitions arrive, so 2^40 restores, fills and trains.
+  const auto live = TrainedLiveAgent();
+  ServiceCheckpoint ckpt = FullCheckpoint(live);
+  ckpt.dqn.buffer_capacity = std::size_t{1} << 40;
+  const std::string text = Save(ckpt);
+  DrainSanitizerQuarantine();
+  const long rss0 = PeakRssKb();
+  const std::shared_ptr<rl::DqnAgent> agent = RestoreAgent(Load(text));
+  ASSERT_EQ(agent->buffer().capacity(), std::size_t{1} << 40);
+  util::Rng rng(9);
+  for (int i = 0; i < 64; ++i) {
+    agent->Push(RandomTransition(rng, i % 5 == 0));
+  }
+  agent->TrainStep();
+  EXPECT_EQ(agent->buffer().size(), 64u);
+  EXPECT_LT(PeakRssKb() - rss0, 64 * 1024) << "peak RSS grew (KB)";
+}
+
 /// One input per count: a valid prefix cut right after the count's
 /// keyword, a claim of 2^24 elements, then the end of the input.
 struct HostileCount {

@@ -295,41 +295,6 @@ TEST_F(DispatchServiceTest, DeferredRecordsApplyOnLaterTicks) {
   EXPECT_EQ(service.state().counters().applied, 2u);
 }
 
-TEST_F(DispatchServiceTest, ResetMetricsStartsAFreshWindow) {
-  // One service, two served episodes with an explicit ResetMetrics between
-  // them: the second window's stats must describe the second episode alone,
-  // not accumulate across both (the bug this API fixes).
-  DispatchService service(
-      *world_->city, *world_->index,
-      std::make_unique<dispatch::GreedyNearestDispatcher>(*world_->city));
-
-  sim::RescueSimulator first = MakeSimulator();
-  TraceStreamer first_streamer(DayTrace(), service);
-  service.ServeEpisode(first, &first_streamer);
-  const ServiceMetrics after_first = service.metrics();
-  EXPECT_EQ(after_first.ticks, 288u);
-  EXPECT_EQ(after_first.decide_ms.count, 288u);
-
-  // Without a reset the second episode would double everything.
-  service.ResetMetrics();
-  const ServiceMetrics cleared = service.metrics();
-  EXPECT_EQ(cleared.ticks, 0u);
-  EXPECT_EQ(cleared.deferred, 0u);
-  EXPECT_EQ(cleared.decide_ms.count, 0u);
-  EXPECT_EQ(cleared.drain_ms.count, 0u);
-  // Cumulative ingest/state counters are NOT window-scoped: the stream
-  // already delivered a day of records and that history stays.
-  EXPECT_EQ(cleared.ingest.accepted, after_first.ingest.accepted);
-
-  sim::RescueSimulator second = MakeSimulator();
-  TraceStreamer second_streamer(DayTrace(), service);
-  service.ServeEpisode(second, &second_streamer);
-  const ServiceMetrics after_second = service.metrics();
-  EXPECT_EQ(after_second.ticks, 288u);
-  EXPECT_EQ(after_second.decide_ms.count, 288u);
-  EXPECT_EQ(after_second.ingest.accepted, 2 * DayTrace().size());
-}
-
 TEST_F(DispatchServiceTest, ServedEpisodeExportsValidChromeTrace) {
   // The acceptance criterion: trace a full 288-tick served episode and the
   // export must be structurally valid Chrome trace_event JSON carrying the

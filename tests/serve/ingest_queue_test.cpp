@@ -27,6 +27,18 @@ TEST(ShardedIngestQueueTest, ShardOfIsDeterministicAndInRange) {
   }
 }
 
+TEST(ShardedIngestQueueTest, ShardOfKeepsItsRecordedValues) {
+  // Recorded before ShardOf was rewritten onto util::SplitMix64: the
+  // person-to-shard map must not move.
+  EXPECT_EQ(ShardedIngestQueue::ShardOf(0, 7), 2u);
+  EXPECT_EQ(ShardedIngestQueue::ShardOf(0, 8), 7u);
+  EXPECT_EQ(ShardedIngestQueue::ShardOf(0, 16), 15u);
+  EXPECT_EQ(ShardedIngestQueue::ShardOf(2, 8), 6u);
+  EXPECT_EQ(ShardedIngestQueue::ShardOf(12345, 7), 5u);
+  EXPECT_EQ(ShardedIngestQueue::ShardOf(-1, 7), 3u);
+  EXPECT_EQ(ShardedIngestQueue::ShardOf(2147483647, 16), 7u);
+}
+
 TEST(ShardedIngestQueueTest, ShardOfSpreadsConsecutiveIds) {
   // The mix must not map a contiguous id range onto one shard.
   std::vector<int> per_shard(8, 0);

@@ -8,6 +8,12 @@
 namespace mobirescue::util {
 namespace {
 
+TEST(SplitMix64Test, MatchesReferenceValues) {
+  EXPECT_EQ(SplitMix64(0), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(SplitMix64(0x9E3779B97F4A7C15ULL), 0x6E789E6AA1B965F4ULL);
+  static_assert(SplitMix64(0) == 0xE220A8397B1DCDAFULL);
+}
+
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) {

@@ -85,24 +85,6 @@ TEST(CdfTest, CurveIsMonotone) {
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);   // bin 0
-  h.Add(9.5);   // bin 4
-  h.Add(-3.0);  // clamped to bin 0
-  h.Add(42.0);  // clamped to bin 4
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.Fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.BinCenter(0), 1.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(RunningStatsTest, MatchesBatchStats) {
   RunningStats rs;
   const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
