@@ -184,7 +184,7 @@ std::string OnlineLearner::SaveStateString() const {
   const rl::ReplayBuffer& buf = candidate_->buffer();
   out << "buffer " << buf.size() << ' ' << buf.cursor() << ' ' << buf.pushes()
       << ' ' << buf.evictions() << '\n';
-  for (const rl::Transition& t : buf.data()) WriteTransition(out, t);
+  buf.AppendText(out, WriteTransition);
 
   const auto& pending = collector_.pending();
   out << "collector " << pending.size() << '\n';

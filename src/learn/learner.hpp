@@ -21,6 +21,10 @@
 // The blob is built in one util::TextWriter (shortest round-trip doubles;
 // the reader's strtod takes those and older max_digits10 digits alike),
 // and no count read back sizes an allocation before its elements are read.
+// Its replay-buffer section, nearly all of it, is written through the
+// buffer's per-slot text memo (rl::ReplayBuffer::AppendText), so a save
+// formats only the transitions pushed since the last save; the first save
+// after a restore formats them all, into the same bytes.
 #pragma once
 
 #include <cstdint>

@@ -79,8 +79,8 @@ class DqnAgent {
   std::size_t decisions_made() const { return decisions_; }
   std::size_t train_steps() const { return train_steps_; }
   const ReplayBuffer& buffer() const { return buffer_; }
-  /// Direct buffer access for the online learner (checkpoint restore and
-  /// concurrent-append producers).
+  /// Direct buffer access for the online learner (its collector's pushes
+  /// and checkpoint restore), on the buffer's single writer thread.
   ReplayBuffer& mutable_buffer() { return buffer_; }
   const DqnConfig& config() const { return config_; }
 

@@ -9,16 +9,21 @@
 // Threading contract: single writer. Push(), Sample() and the checkpoint
 // accessors are not synchronised; offline training and the online learner
 // (which runs its whole tick phase on the serving thread) each own their
-// buffer.
+// buffer. AppendText() is const but fills the checkpoint-text memo, so it
+// belongs to that writer too: call it from the thread that pushes, never
+// beside a Push() or another AppendText().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/ring.hpp"
 #include "util/rng.hpp"
+#include "util/text_writer.hpp"
 
 namespace mobirescue::rl {
 
@@ -63,9 +68,22 @@ class ReplayBuffer {
   void Restore(std::vector<Transition> data, std::size_t cursor,
                std::uint64_t pushes, std::uint64_t evictions);
 
+  /// Appends every stored transition's checkpoint text to `out` in slot
+  /// order, running `format` only for slots pushed since the last call (a
+  /// transition never changes after its push, so each slot's text is
+  /// memoised). Push() drops the text of the slot it writes and Restore()
+  /// drops every slot's, so the output always equals formatting data()
+  /// afresh, provided every call passes the same `format`.
+  using FormatFn = std::function<void(util::TextWriter&, const Transition&)>;
+  void AppendText(util::TextWriter& out, const FormatFn& format) const;
+
  private:
   util::Ring<Transition> ring_;
   std::uint64_t pushes_ = 0;
+  /// Checkpoint text per slot; empty = not formatted yet. Grows only in
+  /// AppendText(), so a buffer that is never checkpointed (offline
+  /// training) holds no text.
+  mutable std::vector<std::string> text_;
 
   obs::Counter pushes_total_{"rl_replay_pushes_total",
                              "Transitions appended to a replay buffer."};

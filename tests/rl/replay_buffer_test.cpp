@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace mobirescue::rl {
 namespace {
@@ -13,6 +14,35 @@ Transition Make(double reward) {
   t.features = {reward};
   t.reward = reward;
   return t;
+}
+
+/// A checkpoint-text formatter that counts its calls and records which
+/// transitions (by reward) it formatted.
+struct CountingFormat {
+  int calls = 0;
+  std::vector<double> formatted;
+  ReplayBuffer::FormatFn Fn() {
+    return [this](util::TextWriter& out, const Transition& t) {
+      ++calls;
+      formatted.push_back(t.reward);
+      out << "t " << t.reward << ' ' << t.features.size() << '\n';
+    };
+  }
+};
+
+std::string MemoText(const ReplayBuffer& buffer, CountingFormat& format) {
+  util::TextWriter out;
+  buffer.AppendText(out, format.Fn());
+  return out.Release();
+}
+
+/// The same formatter run afresh over data() in slot order.
+std::string FreshText(const ReplayBuffer& buffer) {
+  CountingFormat format;
+  const ReplayBuffer::FormatFn fn = format.Fn();
+  util::TextWriter out;
+  for (const Transition& t : buffer.data()) fn(out, t);
+  return out.Release();
 }
 
 TEST(ReplayBufferTest, GrowsUntilCapacity) {
@@ -157,6 +187,9 @@ TEST(ReplayBufferTest, ZeroCapacityKeepsNothingAndCountsEvictions) {
   EXPECT_EQ(buffer.cursor(), 0u);
   util::Rng rng(5);
   EXPECT_TRUE(buffer.Sample(4, rng).empty());
+  CountingFormat format;
+  EXPECT_EQ(MemoText(buffer, format), "");
+  EXPECT_EQ(format.calls, 0);
 }
 
 TEST(ReplayBufferTest, RestoreRejectsOverCapacityAndCursorOutOfRange) {
@@ -169,6 +202,46 @@ TEST(ReplayBufferTest, RestoreRejectsOverCapacityAndCursorOutOfRange) {
   EXPECT_THROW(empty.Restore({}, 1, 0, 0), std::invalid_argument);
   EXPECT_NO_THROW(empty.Restore({}, 0, 5, 5));
   EXPECT_EQ(empty.evictions(), 5u);
+}
+
+TEST(ReplayBufferTest, AppendTextFormatsEachSlotOncePerPush) {
+  ReplayBuffer buffer(4);
+  CountingFormat format;
+  for (int i = 0; i < 3; ++i) buffer.Push(Make(i));
+
+  // Cold memo: every slot formatted once.
+  const std::string first = MemoText(buffer, format);
+  EXPECT_EQ(format.calls, 3);
+  EXPECT_EQ(first, FreshText(buffer));
+
+  // Warm memo: nothing formatted, the same text.
+  EXPECT_EQ(MemoText(buffer, format), first);
+  EXPECT_EQ(format.calls, 3);
+
+  // One appending push (slot 3) and one wrapping overwrite (slot 0):
+  // exactly those two slots are formatted again.
+  buffer.Push(Make(3));
+  buffer.Push(Make(4));
+  ASSERT_EQ(buffer.cursor(), 1u);
+  format.formatted.clear();
+  const std::string wrapped = MemoText(buffer, format);
+  EXPECT_EQ(format.calls, 5);
+  EXPECT_EQ(format.formatted, (std::vector<double>{4, 3}));  // slot order
+  EXPECT_EQ(wrapped, FreshText(buffer));
+  EXPECT_NE(wrapped, first);
+
+  // Restore drops the whole memo: every slot formatted again.
+  buffer.Restore(buffer.data(), buffer.cursor(), buffer.pushes(),
+                 buffer.evictions());
+  EXPECT_EQ(MemoText(buffer, format), wrapped);
+  EXPECT_EQ(format.calls, 9);
+  EXPECT_EQ(MemoText(buffer, format), FreshText(buffer));
+  EXPECT_EQ(format.calls, 9);
+
+  // Restoring smaller contents leaves no text from the longer ring behind.
+  buffer.Restore({Make(7)}, 0, 1, 0);
+  EXPECT_EQ(MemoText(buffer, format), FreshText(buffer));
+  EXPECT_EQ(format.calls, 10);
 }
 
 }  // namespace
