@@ -1,11 +1,9 @@
 #include "learn/learner.hpp"
 
-#include <cstdlib>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "util/rng.hpp"
+#include "util/text_reader.hpp"
 #include "util/text_writer.hpp"
 
 namespace mobirescue::learn {
@@ -20,61 +18,16 @@ constexpr char kLearnEnd[] = "mobirescue-learn-end";
 /// missing token.
 constexpr std::size_t kMaxCount = 1u << 24;
 
-std::string ReadToken(std::istream& in) {
-  std::string tok;
-  if (!(in >> tok)) {
-    throw std::invalid_argument("learn state: unexpected end of input");
-  }
-  return tok;
-}
-
-void ExpectToken(std::istream& in, const char* want) {
-  const std::string tok = ReadToken(in);
-  if (tok != want) {
-    throw std::invalid_argument(std::string("learn state: expected '") +
-                                want + "', got '" + tok + "'");
-  }
-}
-
-/// strtod-based read so nan/inf round-trip (operator>> rejects them).
-double ReadDouble(std::istream& in) {
-  const std::string tok = ReadToken(in);
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) {
-    throw std::invalid_argument("learn state: bad double '" + tok + "'");
-  }
-  return v;
-}
-
-std::uint64_t ReadU64(std::istream& in) {
-  const std::string tok = ReadToken(in);
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size()) {
-    throw std::invalid_argument("learn state: bad integer '" + tok + "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::size_t ReadCount(std::istream& in, std::size_t max = kMaxCount) {
-  const std::uint64_t v = ReadU64(in);
-  if (v > max) {
-    throw std::invalid_argument("learn state: count out of bounds");
-  }
-  return static_cast<std::size_t>(v);
-}
-
 void WriteVector(util::TextWriter& out, const std::vector<double>& v) {
   out << v.size();
   for (const double x : v) out << ' ' << x;
   out << '\n';
 }
 
-std::vector<double> ReadVector(std::istream& in) {
-  const std::size_t n = ReadCount(in);
+std::vector<double> ReadVector(util::TextReader& in) {
+  const std::size_t n = in.Count(kMaxCount);
   std::vector<double> v;
-  for (std::size_t i = 0; i < n; ++i) v.push_back(ReadDouble(in));
+  for (std::size_t i = 0; i < n; ++i) in >> v.emplace_back();
   return v;
 }
 
@@ -86,14 +39,12 @@ void WriteTransition(util::TextWriter& out, const rl::Transition& t) {
   for (const std::vector<double>& c : t.next_candidates) WriteVector(out, c);
 }
 
-rl::Transition ReadTransition(std::istream& in) {
-  ExpectToken(in, "t");
+rl::Transition ReadTransition(util::TextReader& in) {
+  in.Expect("t");
   rl::Transition t;
-  t.reward = ReadDouble(in);
-  t.terminal = ReadU64(in) != 0;
-  t.duration_rounds = static_cast<int>(ReadU64(in));
+  in >> t.reward >> t.terminal >> t.duration_rounds;
   t.features = ReadVector(in);
-  const std::size_t n = ReadCount(in);
+  const std::size_t n = in.Count(kMaxCount);
   for (std::size_t i = 0; i < n; ++i) {
     t.next_candidates.push_back(ReadVector(in));
   }
@@ -224,32 +175,32 @@ std::string OnlineLearner::SaveStateString() const {
   return out.Release();
 }
 
-void OnlineLearner::LoadStateString(const std::string& blob) {
-  std::istringstream in(blob);
-  ExpectToken(in, kLearnMagic);
-  ExpectToken(in, "ticks");
-  ticks_ = ReadU64(in);
+void OnlineLearner::LoadStateString(std::string_view blob) {
+  util::TextReader in(blob, "learn state");
+  in.Expect(kLearnMagic);
+  in.Expect("ticks");
+  in >> ticks_;
 
-  ExpectToken(in, "candidate-weights");
+  in.Expect("candidate-weights");
   const std::vector<double> online = ReadVector(in);
-  ExpectToken(in, "candidate-target");
+  in.Expect("candidate-target");
   const std::vector<double> target = ReadVector(in);
   if (online.size() != candidate_->SaveWeights().size() ||
       target.size() != online.size()) {
-    throw std::invalid_argument("learn state: weight count mismatch");
+    in.Fail("weight count mismatch");
   }
   candidate_->LoadWeights(online);        // also syncs target...
   candidate_->LoadTargetWeights(target);  // ...then restore the lagged copy
-  ExpectToken(in, "trainer-rng");
+  in.Expect("trainer-rng");
   candidate_->LoadTrainerState(in);
 
-  ExpectToken(in, "buffer");
+  in.Expect("buffer");
   // Bounded by the candidate's capacity before any transition is read
   // (ReplayBuffer::Restore checks it only after the whole buffer).
-  const std::size_t buf_size = ReadCount(in, candidate_->buffer().capacity());
-  const std::size_t cursor = ReadCount(in);
-  const std::uint64_t pushes = ReadU64(in);
-  const std::uint64_t evictions = ReadU64(in);
+  const std::size_t buf_size = in.Count(candidate_->buffer().capacity());
+  const std::size_t cursor = in.Count(kMaxCount);
+  std::uint64_t pushes = 0, evictions = 0;
+  in >> pushes >> evictions;
   std::vector<rl::Transition> data;
   for (std::size_t i = 0; i < buf_size; ++i) {
     data.push_back(ReadTransition(in));
@@ -257,74 +208,61 @@ void OnlineLearner::LoadStateString(const std::string& blob) {
   candidate_->mutable_buffer().Restore(std::move(data), cursor, pushes,
                                        evictions);
 
-  ExpectToken(in, "collector");
-  const std::size_t teams = ReadCount(in);
+  in.Expect("collector");
+  const std::size_t teams = in.Count(kMaxCount);
   std::vector<ExperienceCollector::Pending> pending;
   for (std::size_t i = 0; i < teams; ++i) {
     ExperienceCollector::Pending& p = pending.emplace_back();
-    p.valid = ReadU64(in) != 0;
-    p.is_standdown = ReadU64(in) != 0;
-    p.accumulated = ReadDouble(in);
-    p.rounds = static_cast<int>(ReadU64(in));
+    in >> p.valid >> p.is_standdown >> p.accumulated >> p.rounds;
     p.features = ReadVector(in);
   }
-  ExpectToken(in, "collector-counters");
-  const std::uint64_t transitions = ReadU64(in);
-  const std::uint64_t aborted = ReadU64(in);
+  in.Expect("collector-counters");
+  std::uint64_t transitions = 0, aborted = 0;
+  in >> transitions >> aborted;
   collector_.RestorePending(std::move(pending), transitions, aborted);
 
-  ExpectToken(in, "trainer-counters");
-  const std::uint64_t steps = ReadU64(in);
-  const std::uint64_t overruns = ReadU64(in);
-  const double last_loss = ReadDouble(in);
+  in.Expect("trainer-counters");
+  std::uint64_t steps = 0, overruns = 0;
+  double last_loss = 0.0;
+  in >> steps >> overruns >> last_loss;
   trainer_.RestoreCounters(steps, overruns, last_loss);
 
-  ExpectToken(in, "shadow");
-  const std::uint64_t rounds_scored = ReadU64(in);
-  const std::size_t log_size = ReadCount(in);
+  in.Expect("shadow");
+  std::uint64_t rounds_scored = 0;
+  in >> rounds_scored;
+  const std::size_t log_size = in.Count(kMaxCount);
   std::deque<ShadowRecord> log;
   for (std::size_t i = 0; i < log_size; ++i) {
-    ShadowRecord rec;
-    rec.tick = ReadU64(in);
-    rec.policy = ReadCount(in);
-    rec.agreement = ReadDouble(in);
-    rec.q_finite = ReadU64(in) != 0;
-    log.push_back(rec);
+    ShadowRecord& rec = log.emplace_back();
+    in >> rec.tick;
+    rec.policy = in.Count(kMaxCount);
+    in >> rec.agreement >> rec.q_finite;
   }
   shadow_.Restore(std::move(log), rounds_scored);
 
-  ExpectToken(in, "promotion");
+  in.Expect("promotion");
   PromotionController::Snapshot snap;
-  const std::uint64_t state = ReadU64(in);
-  if (state > 3) throw std::invalid_argument("learn state: bad state");
-  snap.state = static_cast<PromotionState>(state);
-  snap.watch_left = static_cast<int>(ReadU64(in));
-  snap.cooldown_left = static_cast<int>(ReadU64(in));
-  snap.promotions = ReadU64(in);
-  snap.rollbacks = ReadU64(in);
-  snap.rejections = ReadU64(in);
-  snap.last_live_td = ReadDouble(in);
-  snap.last_candidate_td = ReadDouble(in);
-  ExpectToken(in, "promotion-ticks");
-  const std::size_t n_promos = ReadCount(in);
+  snap.state = static_cast<PromotionState>(in.Count(3));  // its 4 values
+  in >> snap.watch_left >> snap.cooldown_left >> snap.promotions >>
+      snap.rollbacks >> snap.rejections >> snap.last_live_td >>
+      snap.last_candidate_td;
+  in.Expect("promotion-ticks");
+  const std::size_t n_promos = in.Count(kMaxCount);
   for (std::size_t i = 0; i < n_promos; ++i) {
-    snap.promotion_ticks.push_back(ReadU64(in));
+    in >> snap.promotion_ticks.emplace_back();
   }
-  ExpectToken(in, "evidence");
-  const std::size_t n_evidence = ReadCount(in);
+  in.Expect("evidence");
+  const std::size_t n_evidence = in.Count(kMaxCount);
   for (std::size_t i = 0; i < n_evidence; ++i) {
     snap.evidence.push_back(ReadTransition(in));
   }
-  ExpectToken(in, "rollback");
+  in.Expect("rollback");
   snap.rollback_online = ReadVector(in);
   snap.rollback_target = ReadVector(in);
   promotion_.Restore(std::move(snap));
 
-  ExpectToken(in, kLearnEnd);
-  std::string extra;
-  if (in >> extra) {
-    throw std::invalid_argument("learn state: trailing garbage");
-  }
+  in.Expect(kLearnEnd);
+  if (!in.AtEnd()) in.Fail("trailing garbage");
 }
 
 }  // namespace mobirescue::learn

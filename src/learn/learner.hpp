@@ -18,9 +18,10 @@
 // checkpoint as an opaque `mobirescue-learn-v1 ... mobirescue-learn-end`
 // token blob (SaveStateString/LoadStateString), so a crash-recovered
 // service resumes training, evaluation, and promotion bit-identically.
-// The blob is built in one util::TextWriter (shortest round-trip doubles;
-// the reader's strtod takes those and older max_digits10 digits alike),
-// and no count read back sizes an allocation before its elements are read.
+// The blob is built in one util::TextWriter (shortest round-trip doubles)
+// and parsed by one util::TextReader (std::from_chars, which takes those
+// and older max_digits10 digits alike, and nan/inf); no count read back
+// sizes an allocation before its elements are read.
 // Its replay-buffer section, nearly all of it, is written through the
 // buffer's per-slot text memo (rl::ReplayBuffer::AppendText), so a save
 // formats only the transitions pushed since the last save; the first save
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "dispatch/mobirescue_dispatcher.hpp"
 #include "learn/budgeted_trainer.hpp"
@@ -78,7 +80,10 @@ class OnlineLearner {
 
   /// The complete dynamic state as a mobirescue-learn-v1 token blob.
   std::string SaveStateString() const;
-  void LoadStateString(const std::string& blob);
+  /// Restores it. A blob that does not parse throws std::runtime_error;
+  /// one whose parts do not fit the candidate (util::Ring::Restore,
+  /// ml::Mlp::LoadWeights) throws std::invalid_argument.
+  void LoadStateString(std::string_view blob);
 
   // Component access for tests, the demo, and operators.
   rl::DqnAgent& candidate() { return *candidate_; }

@@ -1,20 +1,21 @@
-// Model checkpointing: plain-text, versioned serialization for the SVM and
-// the MLP/DQN weights, so a trained MobiRescue deployment can be saved once
-// and reloaded across runs (the paper's system trains on historical
-// disasters well before the one it serves).
+// Model checkpointing: plain-text, versioned blocks for the SVM and its
+// feature scaler, so a trained MobiRescue deployment can be saved once and
+// reloaded across runs (the paper's system trains on historical disasters
+// well before the one it serves). The service checkpoint
+// (serve/checkpoint.hpp) builds them into its one buffer and reads them
+// back through its one reader.
 //
-// Every save formats its block into one util::TextWriter (shortest
-// round-trip doubles) and writes it to the stream once; the readers take
-// both those digits and the max_digits10 digits older files carry.
+// Every save appends its block to a util::TextWriter (shortest round-trip
+// doubles); every load reads it from a util::TextReader, which takes both
+// those digits and the max_digits10 digits older files carry. Unlike the
+// DQN weights, these values must be finite: a "nan" or "inf" throws.
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
-#include <string>
 
-#include "ml/nn/mlp.hpp"
 #include "ml/svm/scaler.hpp"
 #include "ml/svm/svm.hpp"
+#include "util/text_reader.hpp"
 #include "util/text_writer.hpp"
 
 namespace mobirescue::ml {
@@ -25,29 +26,14 @@ namespace mobirescue::ml {
 inline constexpr std::size_t kMaxFeatureDim = 1u << 16;
 inline constexpr std::size_t kMaxHiddenLayers = 64;
 
-/// Writes the SVM (kernel config, support vectors, coefficients, bias) to a
-/// stream; throws std::runtime_error on I/O failure.
-void SaveSvm(const SvmModel& model, std::ostream& os);
-/// Appends the same text to a writer (the service checkpoint builds all
-/// its blocks into one buffer).
+/// Appends the SVM (kernel config, support vectors, coefficients, bias).
 void SaveSvm(const SvmModel& model, util::TextWriter& out);
-
 /// Reads an SVM written by SaveSvm; throws std::runtime_error on malformed
 /// input.
-SvmModel LoadSvm(std::istream& is);
+SvmModel LoadSvm(util::TextReader& in);
 
-/// Writes a feature scaler (means + stddevs).
-void SaveScaler(const FeatureScaler& scaler, std::ostream& os);
+/// Appends a feature scaler (means + stddevs).
 void SaveScaler(const FeatureScaler& scaler, util::TextWriter& out);
-FeatureScaler LoadScaler(std::istream& is);
-
-/// Writes MLP weights (topology must match at load time; the topology
-/// header is validated).
-void SaveMlpWeights(const Mlp& net, std::ostream& os);
-void LoadMlpWeights(Mlp& net, std::istream& is);
-
-/// File-path conveniences.
-void SaveSvmToFile(const SvmModel& model, const std::string& path);
-SvmModel LoadSvmFromFile(const std::string& path);
+FeatureScaler LoadScaler(util::TextReader& in);
 
 }  // namespace mobirescue::ml

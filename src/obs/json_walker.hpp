@@ -11,11 +11,12 @@
 #pragma once
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 namespace mobirescue::obs {
 
@@ -82,13 +83,14 @@ struct JsonCursor {
     ++p;
     return true;
   }
+  /// A number as the checkpoint reader takes one (std::from_chars): "nan"
+  /// and "inf" read, a '+' sign, hex and a number no double holds do not.
   bool ParseNumber(double* out) {
     SkipWs();
-    // The walked text is a std::string, so strtod stops at its NUL.
-    char* parse_end = nullptr;
-    *out = std::strtod(p, &parse_end);
-    if (parse_end == p) return Fail("expected number");
-    p = parse_end;
+    const std::from_chars_result r = std::from_chars(p, end, *out);
+    if (r.ptr == p) return Fail("expected number");
+    if (r.ec != std::errc()) return Fail("number out of range");
+    p = r.ptr;
     return true;
   }
   bool ConsumeLiteral(const char* lit) {

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <istream>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -203,32 +202,26 @@ void DqnAgent::SaveTrainerState(util::TextWriter& out) const {
   for (const double v : opt) out << ' ' << v;
 }
 
-void DqnAgent::LoadTrainerState(std::istream& in) {
+void DqnAgent::LoadTrainerState(util::TextReader& in) {
+  // Only the engine's own operator>> can set its state: it takes its
+  // state_size words and the index streamed after them, and nothing more.
+  std::string engine_text;
+  for (std::size_t i = 0; i <= std::mt19937_64::state_size; ++i) {
+    engine_text += in.Token();
+    engine_text += ' ';
+  }
+  std::istringstream engine(engine_text);
+  engine >> rng_.engine();
+  if (!engine || !(engine >> std::ws).eof()) in.Fail("bad sampler state");
   std::int64_t adam_t = 0;
   std::size_t opt_count = 0;
-  in >> rng_.engine() >> decisions_ >> train_steps_ >> adam_t >> opt_count;
-  if (!in) {
-    throw std::invalid_argument("DqnAgent::LoadTrainerState: bad stream");
-  }
+  in >> decisions_ >> train_steps_ >> adam_t >> opt_count;
   if (opt_count != online_.SaveOptimizerState().size()) {
-    throw std::invalid_argument(
-        "DqnAgent::LoadTrainerState: optimizer state size mismatch");
+    in.Fail("optimizer state size mismatch");
   }
+  // nan/inf moments (a poisoned candidate's) round-trip.
   std::vector<double> opt(opt_count);
-  for (double& v : opt) {
-    // strtod so nan/inf moments (a poisoned candidate's) round-trip;
-    // operator>> rejects them.
-    std::string tok;
-    if (!(in >> tok)) {
-      throw std::invalid_argument("DqnAgent::LoadTrainerState: bad stream");
-    }
-    char* end = nullptr;
-    v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) {
-      throw std::invalid_argument(
-          "DqnAgent::LoadTrainerState: bad optimizer value '" + tok + "'");
-    }
-  }
+  for (double& v : opt) in >> v;
   online_.set_adam_t(adam_t);
   online_.LoadOptimizerState(opt);
 }

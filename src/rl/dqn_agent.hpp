@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "rl/replay_buffer.hpp"
 #include "util/rng.hpp"
+#include "util/text_reader.hpp"
 #include "util/text_writer.hpp"
 
 namespace mobirescue::rl {
@@ -89,9 +89,9 @@ class DqnAgent {
   /// gradient-step counter (target-sync phase). Together with
   /// SaveWeights/SaveTargetWeights and the buffer contents this makes a
   /// resumed training run bit-identical to an uninterrupted one. Appends
-  /// to the learner's checkpoint blob.
+  /// to / reads from the learner's checkpoint blob.
   void SaveTrainerState(util::TextWriter& out) const;
-  void LoadTrainerState(std::istream& in);
+  void LoadTrainerState(util::TextReader& in);
 
   /// Direct weight access for checkpointing.
   std::vector<double> SaveWeights() const { return online_.SaveWeights(); }

@@ -1,15 +1,13 @@
 #include "serve/checkpoint.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <istream>
-#include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "ml/serialize.hpp"
+#include "util/text_reader.hpp"
 #include "util/text_writer.hpp"
 
 namespace mobirescue::serve {
@@ -34,43 +32,6 @@ constexpr std::size_t kMaxStateRecords = 1u << 26;
 constexpr std::size_t kMaxFlowEntries = 1u << 28;
 constexpr std::size_t kMaxLearnTokens = 1u << 26;
 
-void ExpectToken(std::istream& is, const char* token) {
-  std::string got;
-  if (!(is >> got) || got != token) {
-    throw std::runtime_error(std::string("LoadCheckpoint: expected ") + token);
-  }
-}
-
-/// strtod-based double parsing: accepts nan/inf (operator>> does not) and
-/// rejects partially-numeric tokens.
-double ReadDouble(std::istream& is, const char* what) {
-  std::string tok;
-  if (!(is >> tok)) {
-    throw std::runtime_error(std::string("LoadCheckpoint: missing ") + what);
-  }
-  const char* begin = tok.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(begin, &end);
-  if (end != begin + tok.size() || end == begin) {
-    throw std::runtime_error(std::string("LoadCheckpoint: bad ") + what +
-                             " '" + tok + "'");
-  }
-  return v;
-}
-
-std::size_t ReadCount(std::istream& is, std::size_t max, const char* what) {
-  std::uint64_t n = 0;
-  if (!(is >> n)) {
-    throw std::runtime_error(std::string("LoadCheckpoint: missing ") + what);
-  }
-  if (n > max) {
-    throw std::runtime_error(std::string("LoadCheckpoint: ") + what +
-                             " out of range");
-  }
-  return static_cast<std::size_t>(n);
-}
-
 void SaveWeightBlock(const std::vector<double>& weights,
                      util::TextWriter& out) {
   out << weights.size() << '\n';
@@ -78,21 +39,18 @@ void SaveWeightBlock(const std::vector<double>& weights,
   out << '\n';
 }
 
-void LoadWeightBlock(std::vector<double>& weights, std::istream& is,
+void LoadWeightBlock(std::vector<double>& weights, util::TextReader& in,
                      std::size_t expected) {
   std::size_t n = 0;
-  if (!(is >> n)) throw std::runtime_error("LoadCheckpoint: bad DQN size");
+  in >> n;
   // Empty target blocks mean "sync target to online on restore"; any other
   // size must match the topology exactly — this is what stops a corrupt
   // header from driving a huge allocation.
   if (n != expected && n != 0) {
-    throw std::runtime_error(
-        "LoadCheckpoint: DQN weight block size does not match topology");
+    in.Fail("DQN weight block size does not match topology");
   }
   weights.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    weights.push_back(ReadDouble(is, "DQN weight"));
-  }
+  for (std::size_t i = 0; i < n; ++i) in >> weights.emplace_back();
 }
 
 void SaveDqn(const rl::DqnConfig& config, const std::vector<double>& weights,
@@ -112,35 +70,29 @@ void SaveDqn(const rl::DqnConfig& config, const std::vector<double>& weights,
 }
 
 void LoadDqn(rl::DqnConfig& config, std::vector<double>& weights,
-             std::vector<double>& target_weights, std::istream& is) {
-  ExpectToken(is, kDqnMagic);
-  std::size_t layers = 0;
-  if (!(is >> config.feature_dim >> layers)) {
-    throw std::runtime_error("LoadCheckpoint: bad DQN topology");
+             std::vector<double>& target_weights, util::TextReader& in) {
+  in.Expect(kDqnMagic);
+  in >> config.feature_dim;
+  if (config.feature_dim == 0 || config.feature_dim > ml::kMaxFeatureDim) {
+    in.Fail("DQN feature dimension out of range");
   }
-  if (config.feature_dim == 0 || config.feature_dim > ml::kMaxFeatureDim ||
-      layers > ml::kMaxHiddenLayers) {
-    throw std::runtime_error("LoadCheckpoint: DQN topology out of range");
-  }
-  config.hidden.resize(layers);
+  config.hidden.resize(in.Count(ml::kMaxHiddenLayers));
   for (std::size_t& h : config.hidden) {
-    if (!(is >> h)) throw std::runtime_error("LoadCheckpoint: bad DQN hidden");
-    if (h == 0 || h > kMaxHiddenWidth) {
-      throw std::runtime_error("LoadCheckpoint: DQN hidden width out of range");
-    }
+    h = in.Count(kMaxHiddenWidth);
+    if (h == 0) in.Fail("DQN hidden width out of range");
   }
-  if (!(is >> config.gamma >> config.learning_rate >> config.batch_size >>
-        config.buffer_capacity >> config.target_sync_every >>
-        config.epsilon_start >> config.epsilon_end >>
-        config.epsilon_decay_steps >> config.seed)) {
-    throw std::runtime_error("LoadCheckpoint: bad DQN hyperparameters");
-  }
+  // The floating-point hyperparameters must be finite; the weights need not.
+  config.gamma = in.Finite();
+  config.learning_rate = in.Finite();
+  in >> config.batch_size >> config.buffer_capacity >>
+      config.target_sync_every;
+  config.epsilon_start = in.Finite();
+  config.epsilon_end = in.Finite();
+  in >> config.epsilon_decay_steps >> config.seed;
   const std::size_t expected = ExpectedDqnWeightCount(config);
-  if (expected > kMaxWeightCount) {
-    throw std::runtime_error("LoadCheckpoint: DQN parameter count too large");
-  }
-  LoadWeightBlock(weights, is, expected);
-  LoadWeightBlock(target_weights, is, expected);
+  if (expected > kMaxWeightCount) in.Fail("DQN parameter count too large");
+  LoadWeightBlock(weights, in, expected);
+  LoadWeightBlock(target_weights, in, expected);
 }
 
 void SaveRecord(const mobility::GpsRecord& r, util::TextWriter& out) {
@@ -148,16 +100,10 @@ void SaveRecord(const mobility::GpsRecord& r, util::TextWriter& out) {
       << r.altitude_m << ' ' << r.speed_mps << '\n';
 }
 
-mobility::GpsRecord LoadRecord(std::istream& is) {
+mobility::GpsRecord LoadRecord(util::TextReader& in) {
   mobility::GpsRecord r;
-  if (!(is >> r.person)) {
-    throw std::runtime_error("LoadCheckpoint: bad record person id");
-  }
-  r.t = ReadDouble(is, "record time");
-  r.pos.lat = ReadDouble(is, "record lat");
-  r.pos.lon = ReadDouble(is, "record lon");
-  r.altitude_m = ReadDouble(is, "record altitude");
-  r.speed_mps = ReadDouble(is, "record speed");
+  in >> r.person >> r.t >> r.pos.lat >> r.pos.lon >> r.altitude_m >>
+      r.speed_mps;
   return r;
 }
 
@@ -181,46 +127,32 @@ void SaveServingState(const ServingState& s, util::TextWriter& out) {
   out << '\n' << kServeStateEnd << '\n';
 }
 
-ServingState LoadServingState(std::istream& is) {
+ServingState LoadServingState(util::TextReader& in) {
   // Caller has already consumed kServeStateMagic.
   ServingState s;
-  if (!(is >> s.ticks)) {
-    throw std::runtime_error("LoadCheckpoint: bad serving tick count");
-  }
-  s.watermark = ReadDouble(is, "serving watermark");
-  ExpectToken(is, "latest");
-  const std::size_t latest =
-      ReadCount(is, kMaxStateRecords, "latest record count");
-  for (std::size_t i = 0; i < latest; ++i) s.latest.push_back(LoadRecord(is));
-  ExpectToken(is, "deferred");
-  const std::size_t deferred =
-      ReadCount(is, kMaxStateRecords, "deferred record count");
+  in >> s.ticks >> s.watermark;
+  in.Expect("latest");
+  const std::size_t latest = in.Count(kMaxStateRecords);
+  for (std::size_t i = 0; i < latest; ++i) s.latest.push_back(LoadRecord(in));
+  in.Expect("deferred");
+  const std::size_t deferred = in.Count(kMaxStateRecords);
   for (std::size_t i = 0; i < deferred; ++i) {
-    s.deferred.push_back(LoadRecord(is));
+    s.deferred.push_back(LoadRecord(in));
   }
-  ExpectToken(is, "counters");
-  if (!(is >> s.counters.applied >> s.counters.matched >>
-        s.counters.unmatched >> s.counters.quarantined_non_finite >>
-        s.counters.quarantined_out_of_box >> s.counters.quarantined_stale)) {
-    throw std::runtime_error("LoadCheckpoint: bad stream counters");
-  }
-  ExpectToken(is, "flow-cells");
-  const std::size_t cells = ReadCount(is, kMaxFlowEntries, "flow cell count");
+  in.Expect("counters");
+  in >> s.counters.applied >> s.counters.matched >> s.counters.unmatched >>
+      s.counters.quarantined_non_finite >> s.counters.quarantined_out_of_box >>
+      s.counters.quarantined_stale;
+  in.Expect("flow-cells");
+  const std::size_t cells = in.Count(kMaxFlowEntries);
   for (std::size_t i = 0; i < cells; ++i) {
     auto& [idx, count] = s.flow_cells.emplace_back();
-    if (!(is >> idx >> count)) {
-      throw std::runtime_error("LoadCheckpoint: bad flow cell");
-    }
+    in >> idx >> count;
   }
-  ExpectToken(is, "flow-seen");
-  const std::size_t seen = ReadCount(is, kMaxFlowEntries, "flow seen count");
-  for (std::size_t i = 0; i < seen; ++i) {
-    std::uint64_t& key = s.flow_seen.emplace_back();
-    if (!(is >> key)) {
-      throw std::runtime_error("LoadCheckpoint: bad flow dedup key");
-    }
-  }
-  ExpectToken(is, kServeStateEnd);
+  in.Expect("flow-seen");
+  const std::size_t seen = in.Count(kMaxFlowEntries);
+  for (std::size_t i = 0; i < seen; ++i) in >> s.flow_seen.emplace_back();
+  in.Expect(kServeStateEnd);
   return s;
 }
 
@@ -265,12 +197,13 @@ void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os) {
   if (!os) throw std::runtime_error("SaveCheckpoint: write failed");
 }
 
-ServiceCheckpoint LoadCheckpoint(std::istream& is) {
-  ExpectToken(is, kCkptMagic);
+ServiceCheckpoint LoadCheckpoint(std::string_view text) {
+  util::TextReader in(text, "LoadCheckpoint");
+  in.Expect(kCkptMagic);
   ServiceCheckpoint ckpt;
-  LoadDqn(ckpt.dqn, ckpt.dqn_weights, ckpt.dqn_target_weights, is);
-  ckpt.svm = ml::LoadSvm(is);
-  ckpt.svm_scaler = ml::LoadScaler(is);
+  LoadDqn(ckpt.dqn, ckpt.dqn_weights, ckpt.dqn_target_weights, in);
+  ckpt.svm = ml::LoadSvm(in);
+  ckpt.svm_scaler = ml::LoadScaler(in);
   // The predictor scales each (P, W, A) factor row into one flat buffer,
   // then scores it with the SVM, so both must take exactly those factors
   // (an SVM without support vectors has no dimension).
@@ -278,43 +211,31 @@ ServiceCheckpoint LoadCheckpoint(std::istream& is) {
   if (ckpt.svm_scaler.dimension() != kFactors ||
       (ckpt.svm.num_support_vectors() != 0 &&
        ckpt.svm.dimension() != kFactors)) {
-    throw std::runtime_error(
-        "LoadCheckpoint: SVM or scaler does not take the 3 factors");
+    in.Fail("SVM or scaler does not take the 3 factors");
   }
-  ckpt.svm_threshold = ReadDouble(is, "threshold");
-  // Optional serving-state and learner sections; EOF here is a valid
-  // model-only file.
-  std::string token;
-  if (!(is >> token)) return ckpt;
+  in >> ckpt.svm_threshold;
+  // Optional serving-state and learner sections; the end of the input
+  // here is a valid model-only file.
+  if (in.AtEnd()) return ckpt;
+  std::size_t section = in.offset();
+  std::string_view token = in.Token();
   if (token == kServeStateMagic) {
-    ckpt.serving = LoadServingState(is);
+    ckpt.serving = LoadServingState(in);
     ckpt.has_serving_state = true;
-    if (!(is >> token)) return ckpt;
+    if (in.AtEnd()) return ckpt;
+    section = in.offset();
+    token = in.Token();
   }
-  if (token == kLearnMagic) {
-    // Captured token-wise into the opaque blob the learner parses itself;
-    // token capture whitespace-normalises, which the format permits.
-    std::string blob = token;
-    bool closed = false;
-    std::size_t tokens = 0;
-    while (is >> token) {
-      blob += ' ';
-      blob += token;
-      if (++tokens > kMaxLearnTokens) {
-        throw std::runtime_error("LoadCheckpoint: learner state too large");
-      }
-      if (token == kLearnEnd) {
-        closed = true;
-        break;
-      }
-    }
-    if (!closed) {
-      throw std::runtime_error("LoadCheckpoint: truncated learner state");
-    }
-    ckpt.learner_state = std::move(blob);
-    if (!(is >> token)) return ckpt;
+  if (token != kLearnMagic) in.Fail("trailing garbage after checkpoint");
+  // The learner parses its own blob; here it is only found, bounded and
+  // handed over verbatim, from its magic to the end of the input.
+  std::size_t tokens = 1;  // the end token counts toward the bound
+  while (in.Token() != kLearnEnd) {
+    if (++tokens > kMaxLearnTokens) in.Fail("learner state too large");
   }
-  throw std::runtime_error("LoadCheckpoint: trailing garbage after checkpoint");
+  if (!in.AtEnd()) in.Fail("trailing garbage after checkpoint");
+  ckpt.learner_state = std::string(text.substr(section));
+  return ckpt;
 }
 
 void SaveCheckpointToFile(const ServiceCheckpoint& ckpt,
@@ -345,11 +266,13 @@ void SaveCheckpointToFile(const ServiceCheckpoint& ckpt,
 }
 
 ServiceCheckpoint LoadCheckpointFromFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
     throw std::runtime_error("LoadCheckpointFromFile: cannot open " + path);
   }
-  return LoadCheckpoint(is);
+  std::ostringstream text;
+  text << file.rdbuf();
+  return LoadCheckpoint(std::move(text).str());
 }
 
 std::shared_ptr<rl::DqnAgent> RestoreAgent(const ServiceCheckpoint& ckpt) {

@@ -5,13 +5,15 @@
 //
 // Every save path formats through one util::TextWriter: doubles in their
 // shortest round-trip form (std::to_chars), integers in decimal, the whole
-// checkpoint built in one buffer and written once. glibc's strtod rounds
-// correctly, so a save/load round trip restores bit-identical Q-values and
-// SVM decision values (checkpoint_test asserts this on probe batches), ±0
-// and ±inf included, and NaN keeps its sign. The loader parses doubles with
-// strtod, which — unlike operator>> — accepts "nan" and "inf". Files
-// written before the writer carry max_digits10 (%.17g) digits for the same
-// tokens and load to the same bits.
+// checkpoint built in one buffer and written once. Every load parses the
+// whole text through one util::TextReader (std::from_chars), which reads
+// those digits back to the same bits, so a save/load round trip restores
+// bit-identical Q-values and SVM decision values (checkpoint_test asserts
+// this on probe batches), ±0 and ±inf included, and NaN keeps its sign.
+// The DQN weights, serving records and threshold may be "nan" or "inf";
+// the DQN hyperparameters and the SVM and scaler values must be finite.
+// Files written before the writer carry max_digits10 (%.17g) digits for
+// the same tokens and load to the same bits.
 //
 // An optional serving-state section (mobirescue-serve-state-v1) after the
 // model blocks captures the live DispatchService state — tick count,
@@ -31,6 +33,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,8 +80,8 @@ struct ServiceCheckpoint {
   /// complete dynamic state as a `mobirescue-learn-v1 ...
   /// mobirescue-learn-end` token blob, produced and parsed by
   /// learn::OnlineLearner::SaveStateString/LoadStateString. The checkpoint
-  /// layer treats it as opaque tokens (whitespace-normalised on load, which
-  /// the token format is insensitive to). Empty means "no learner".
+  /// layer only finds its end token and keeps the text verbatim, from the
+  /// magic to the end of the file. Empty means "no learner".
   std::string learner_state;
 };
 
@@ -91,17 +94,18 @@ std::size_t ExpectedDqnWeightCount(const rl::DqnConfig& config);
 ServiceCheckpoint MakeCheckpoint(const rl::DqnAgent& agent,
                                  const predict::SvmRequestPredictor& svm);
 
-/// Writes / reads the checkpoint; throws std::runtime_error on I/O failure
-/// or malformed input (truncation, size/topology mismatch, trailing
-/// garbage).
+/// Writes / parses the checkpoint; throws std::runtime_error on I/O failure
+/// or malformed input (truncation, size/topology mismatch, a bad number,
+/// trailing garbage).
 void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os);
-ServiceCheckpoint LoadCheckpoint(std::istream& is);
+ServiceCheckpoint LoadCheckpoint(std::string_view text);
 
 /// Writes `path + ".tmp"`, closes it and renames it onto `path`. A save
 /// that fails throws std::runtime_error, removes the temporary file and
 /// leaves the checkpoint already at `path` as it was.
 void SaveCheckpointToFile(const ServiceCheckpoint& ckpt,
                           const std::string& path);
+/// Reads the file in one piece and parses it.
 ServiceCheckpoint LoadCheckpointFromFile(const std::string& path);
 
 /// Rebuilds a ready-to-serve agent: constructed from the saved config with

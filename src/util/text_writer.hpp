@@ -1,12 +1,14 @@
 // Append-only text writer for the checkpoint formats (the service
-// checkpoint, the model blocks and the online learner's blob).
+// checkpoint, the model blocks and the online learner's blob); its read
+// side is util::TextReader.
 //
 // Doubles are written by std::to_chars, which gives the shortest text that
-// strtod reads back to the same bits (±0 and ±inf included; NaN keeps its
-// sign, not its payload). Integers are written in decimal. Everything goes
-// into one std::string, so a save formats each token once and hands the
-// whole text to its stream or caller in one piece — no per-token stream
-// state or vsnprintf call, which dominated the save at max_digits10.
+// std::from_chars reads back to the same bits (±0 and ±inf included; NaN
+// keeps its sign, not its payload). Integers are written in decimal.
+// Everything goes into one std::string, so a save formats each token once
+// and hands the whole text to its stream or caller in one piece — no
+// per-token stream state or vsnprintf call, which dominated the save at
+// max_digits10.
 #pragma once
 
 #include <charconv>

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "util/rng.hpp"
 
 namespace mobirescue::ml {
 namespace {
+
+SvmModel LoadSvmText(const std::string& text) {
+  util::TextReader in(text, "LoadSvm");
+  return LoadSvm(in);
+}
+
+FeatureScaler LoadScalerText(const std::string& text) {
+  util::TextReader in(text, "LoadScaler");
+  return LoadScaler(in);
+}
 
 SvmModel TrainToy(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -23,9 +33,9 @@ SvmModel TrainToy(std::uint64_t seed) {
 
 TEST(SerializeTest, SvmRoundTripPreservesDecisions) {
   const SvmModel original = TrainToy(1);
-  std::stringstream buffer;
-  SaveSvm(original, buffer);
-  const SvmModel loaded = LoadSvm(buffer);
+  util::TextWriter out;
+  SaveSvm(original, out);
+  const SvmModel loaded = LoadSvmText(out.Release());
 
   EXPECT_EQ(loaded.num_support_vectors(), original.num_support_vectors());
   EXPECT_DOUBLE_EQ(loaded.bias(), original.bias());
@@ -37,10 +47,9 @@ TEST(SerializeTest, SvmRoundTripPreservesDecisions) {
 }
 
 TEST(SerializeTest, SvmRejectsGarbage) {
-  std::stringstream buffer("not-a-model 1 2 3");
-  EXPECT_THROW(LoadSvm(buffer), std::runtime_error);
-  std::stringstream truncated("mobirescue-svm-v1\n1 0.5 3 1.0\n5 2 0.1\n");
-  EXPECT_THROW(LoadSvm(truncated), std::runtime_error);
+  EXPECT_THROW(LoadSvmText("not-a-model 1 2 3"), std::runtime_error);
+  EXPECT_THROW(LoadSvmText("mobirescue-svm-v1\n1 0.5 3 1.0\n5 2 0.1\n"),
+               std::runtime_error);
 }
 
 // Header counts are untrusted: a loader must reject a hostile count with
@@ -50,28 +59,18 @@ TEST(SerializeTest, SvmRejectsGarbage) {
 constexpr const char* kHugeCount = "4611686018427387904";  // 2^62
 
 TEST(SerializeTest, SvmHostileCountsRejected) {
-  std::stringstream huge_n(std::string("mobirescue-svm-v1\n1 0.5 3 1.0\n") +
-                           kHugeCount + " 3 0.1\n0.5 1 2 3\n");
-  EXPECT_THROW(LoadSvm(huge_n), std::runtime_error);
-  std::stringstream huge_dim(std::string("mobirescue-svm-v1\n1 0.5 3 1.0\n1 ") +
-                             kHugeCount + " 0.1\n0.5 1 2 3\n");
-  EXPECT_THROW(LoadSvm(huge_dim), std::runtime_error);
+  EXPECT_THROW(LoadSvmText(std::string("mobirescue-svm-v1\n1 0.5 3 1.0\n") +
+                           kHugeCount + " 3 0.1\n0.5 1 2 3\n"),
+               std::runtime_error);
+  EXPECT_THROW(LoadSvmText(std::string("mobirescue-svm-v1\n1 0.5 3 1.0\n1 ") +
+                           kHugeCount + " 0.1\n0.5 1 2 3\n"),
+               std::runtime_error);
 }
 
 TEST(SerializeTest, ScalerHostileDimensionRejected) {
-  std::stringstream buffer(std::string("mobirescue-scaler-v1\n") +
-                           kHugeCount + "\n1 2\n3 4\n");
-  EXPECT_THROW(LoadScaler(buffer), std::runtime_error);
-}
-
-TEST(SerializeTest, MlpHostileLayerCountRejected) {
-  MlpConfig config;
-  config.input_dim = 4;
-  config.hidden = {8};
-  Mlp net(config);
-  std::stringstream buffer(std::string("mobirescue-mlp-v1\n4 1 ") +
-                           kHugeCount + " 8\n");
-  EXPECT_THROW(LoadMlpWeights(net, buffer), std::runtime_error);
+  EXPECT_THROW(LoadScalerText(std::string("mobirescue-scaler-v1\n") +
+                              kHugeCount + "\n1 2\n3 4\n"),
+               std::runtime_error);
 }
 
 TEST(SerializeTest, ScalerRoundTrip) {
@@ -79,53 +78,11 @@ TEST(SerializeTest, ScalerRoundTrip) {
   std::vector<std::vector<double>> rows = {{1.0, 10.0}, {3.0, 30.0},
                                            {5.0, 20.0}};
   scaler.Fit(rows);
-  std::stringstream buffer;
-  SaveScaler(scaler, buffer);
-  const FeatureScaler loaded = LoadScaler(buffer);
+  util::TextWriter out;
+  SaveScaler(scaler, out);
+  const FeatureScaler loaded = LoadScalerText(out.Release());
   const std::vector<double> probe = {2.0, 25.0};
   EXPECT_EQ(scaler.Transform(probe), loaded.Transform(probe));
-}
-
-TEST(SerializeTest, MlpWeightsRoundTrip) {
-  MlpConfig config;
-  config.input_dim = 4;
-  config.hidden = {8, 8};
-  config.output_dim = 2;
-  Mlp original(config);
-
-  std::stringstream buffer;
-  SaveMlpWeights(original, buffer);
-
-  config.seed = 999;  // different random init
-  Mlp loaded(config);
-  LoadMlpWeights(loaded, buffer);
-  const std::vector<double> x = {0.1, -0.2, 0.3, -0.4};
-  EXPECT_EQ(original.Predict(x), loaded.Predict(x));
-}
-
-TEST(SerializeTest, MlpTopologyMismatchRejected) {
-  MlpConfig a;
-  a.input_dim = 4;
-  a.hidden = {8};
-  Mlp net_a(a);
-  std::stringstream buffer;
-  SaveMlpWeights(net_a, buffer);
-
-  MlpConfig b;
-  b.input_dim = 5;
-  b.hidden = {8};
-  Mlp net_b(b);
-  EXPECT_THROW(LoadMlpWeights(net_b, buffer), std::runtime_error);
-}
-
-TEST(SerializeTest, FileRoundTrip) {
-  const SvmModel original = TrainToy(3);
-  const std::string path = ::testing::TempDir() + "/svm_checkpoint.txt";
-  SaveSvmToFile(original, path);
-  const SvmModel loaded = LoadSvmFromFile(path);
-  EXPECT_EQ(loaded.num_support_vectors(), original.num_support_vectors());
-  EXPECT_THROW(LoadSvmFromFile("/nonexistent/path/model.txt"),
-               std::runtime_error);
 }
 
 }  // namespace

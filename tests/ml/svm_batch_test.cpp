@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ml/serialize.hpp"
@@ -71,9 +71,11 @@ TEST_P(SvmBatchKernelTest, SaveLoadRoundTripKeepsDecisionValuesBitwise) {
   config.kernel.type = GetParam();
   const SvmModel model = TrainSvm(data, config);
   ASSERT_GT(model.num_support_vectors(), 0u);
-  std::stringstream ss;
-  SaveSvm(model, ss);
-  const SvmModel loaded = LoadSvm(ss);
+  util::TextWriter out;
+  SaveSvm(model, out);
+  const std::string text = out.Release();
+  util::TextReader in(text, "LoadSvm");
+  const SvmModel loaded = LoadSvm(in);
 
   std::vector<std::vector<double>> rows;
   for (int i = 0; i < 50; ++i) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,28 @@ TEST(JsonCursorTest, NestingIsBoundedAtMaxDepth) {
   JsonCursor cur(deep);
   EXPECT_FALSE(cur.SkipValue());
   EXPECT_EQ(cur.error, "nesting too deep");
+}
+
+TEST(JsonCursorTest, NumbersReadWhatTheWritersWrite) {
+  // FormatDouble's 12 digits (its extremes, nan and inf included) read in
+  // full; a '+' sign and a number no double holds fail with an error.
+  for (const double v : {0.0, -1.5, 1e5, 4.9406564584124654e-324,
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const std::string text = FormatDouble(v);
+    JsonCursor cur(text);
+    double got = 0.0;
+    EXPECT_TRUE(cur.ParseNumber(&got)) << text << ": " << cur.error;
+    EXPECT_EQ(cur.p, cur.end) << text;
+  }
+  for (const char* text : {"+1", "1e400", "-1e400", "x"}) {
+    const std::string bad = text;
+    JsonCursor cur(bad);
+    double got = 0.0;
+    EXPECT_FALSE(cur.ParseNumber(&got)) << text;
+    EXPECT_FALSE(cur.error.empty()) << text;
+  }
 }
 
 TEST(JsonCursorTest, MillionDeepInputsFailEveryValidatorWithAnError) {

@@ -5,13 +5,17 @@
 //     written before the to_chars writer do, loads to the same bits;
 //   - a save that fails part-way (file-size limit) throws and leaves the
 //     previous checkpoint loadable;
+//   - the learner blob comes back verbatim;
 //   - no count read from a checkpoint or a learner blob sizes an
 //     allocation before its elements are read;
+//   - a number outside its field's type, or a nan/inf where a field must
+//     be finite, throws std::runtime_error;
 //   - seeded token mutations load or throw std::runtime_error, and the
 //     learner blobs that load restore or throw.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -107,8 +111,8 @@ mobility::GpsRecord Record(mobility::PersonId person, util::Rng& rng) {
 }
 
 /// Every section, with -0, a subnormal, ±inf and ±NaN in the serving
-/// records (strtod-parsed fields) and finite values where the model
-/// readers use operator>>.
+/// records (fields that take them) and finite values where the model
+/// readers require them.
 ServiceCheckpoint FullCheckpoint(const std::shared_ptr<rl::DqnAgent>& live) {
   ServiceCheckpoint ckpt;
   ckpt.dqn = live->config();
@@ -157,13 +161,9 @@ std::string Save(const ServiceCheckpoint& ckpt) {
   return out.str();
 }
 
-ServiceCheckpoint Load(const std::string& text) {
-  std::istringstream in(text);
-  return LoadCheckpoint(in);
-}
-
-/// The checkpoint without its learner blob: the blob is whitespace-
-/// normalised on load, so it is compared by restoring it instead.
+/// The checkpoint without its learner blob, which a load keeps verbatim:
+/// the blob of an older file still carries its max_digits10 digits, so it
+/// is compared by restoring it instead.
 std::string ModelAndServingText(ServiceCheckpoint ckpt) {
   ckpt.learner_state.clear();
   return Save(ckpt);
@@ -235,8 +235,10 @@ TEST(CheckpointFormatTest, MaxDigits10TextLoadsToTheSameBits) {
   // The writer's digits are never longer, and here strictly shorter.
   ASSERT_LT(text.size(), old_text.size());
 
-  const ServiceCheckpoint from_writer = Load(text);
-  const ServiceCheckpoint from_old = Load(old_text);
+  const ServiceCheckpoint from_writer = LoadCheckpoint(text);
+  const ServiceCheckpoint from_old = LoadCheckpoint(old_text);
+  EXPECT_EQ(from_writer.learner_state, ckpt.learner_state);
+  EXPECT_EQ(Save(from_writer), text);
   const std::string want = ModelAndServingText(ckpt);
   EXPECT_EQ(ModelAndServingText(from_writer), want);
   EXPECT_EQ(ModelAndServingText(from_old), want);
@@ -300,7 +302,8 @@ TEST(HostileCapacityTest, HugeDqnBufferCapacitySizesNoAllocation) {
   const std::string text = Save(ckpt);
   DrainSanitizerQuarantine();
   const long rss0 = PeakRssKb();
-  const std::shared_ptr<rl::DqnAgent> agent = RestoreAgent(Load(text));
+  const std::shared_ptr<rl::DqnAgent> agent =
+      RestoreAgent(LoadCheckpoint(text));
   ASSERT_EQ(agent->buffer().capacity(), std::size_t{1} << 40);
   util::Rng rng(9);
   for (int i = 0; i < 64; ++i) {
@@ -342,9 +345,9 @@ TEST_P(HostileCountTest, ThrowsWithoutSizingAnAllocation) {
   const long rss0 = PeakRssKb();
   if (c.learner_blob) {
     auto learner = MakeLearner(live);
-    EXPECT_THROW(learner->LoadStateString(input), std::invalid_argument);
+    EXPECT_THROW(learner->LoadStateString(input), std::runtime_error);
   } else {
-    EXPECT_THROW(Load(input), std::runtime_error);
+    EXPECT_THROW(LoadCheckpoint(input), std::runtime_error);
   }
   EXPECT_LT(PeakRssKb() - rss0, 64 * 1024) << "peak RSS grew (KB)";
 }
@@ -380,8 +383,97 @@ std::string Join(const std::vector<std::string>& tokens) {
   return out;
 }
 
-/// Counts at and past every loader bound, non-numbers, special doubles,
-/// section keywords; or any token of the original.
+/// One token of a saved checkpoint (or of its learner blob) replaced: the
+/// token `offset` places after the first `anchor` token. The numbers are
+/// ones a looser rule takes (a negative wrapped into an unsigned field, a
+/// '+' sign, a value past int, an overflow to inf), and nan/inf in fields
+/// that must be finite.
+struct HostileNumber {
+  const char* name;
+  bool learner_blob;  // false: the checkpoint without its blob
+  const char* anchor;
+  std::size_t offset;
+  const char* was;  // the token replaced, where it is fixed; or nullptr
+  const char* token;
+};
+
+void PrintTo(const HostileNumber& c, std::ostream* os) { *os << c.name; }
+
+class HostileNumberTest : public ::testing::TestWithParam<HostileNumber> {};
+
+TEST_P(HostileNumberTest, ThrowsRuntimeError) {
+  const HostileNumber& c = GetParam();
+  const auto live = TrainedLiveAgent();
+  ServiceCheckpoint ckpt = FullCheckpoint(live);
+  std::string source = ckpt.learner_state;
+  if (!c.learner_blob) {
+    ckpt.learner_state.clear();
+    source = Save(ckpt);
+  }
+  std::vector<std::string> tokens = Tokens(source);
+  const auto anchor = std::find(tokens.begin(), tokens.end(), c.anchor);
+  ASSERT_NE(anchor, tokens.end()) << c.anchor;
+  const std::size_t at = (anchor - tokens.begin()) + c.offset;
+  ASSERT_LT(at, tokens.size());
+  if (c.was != nullptr) {
+    ASSERT_EQ(tokens[at], c.was);
+  }
+  tokens[at] = c.token;
+  const std::string input = Join(tokens);
+
+  auto learner = MakeLearner(live);
+  if (c.learner_blob) {
+    EXPECT_NO_THROW(learner->LoadStateString(source));
+    EXPECT_THROW(learner->LoadStateString(input), std::runtime_error);
+  } else {
+    EXPECT_NO_THROW(LoadCheckpoint(source));
+    EXPECT_THROW(LoadCheckpoint(input), std::runtime_error);
+  }
+}
+
+// FullCheckpoint's DQN section is "mobirescue-dqn-v1 5 2 16 8" followed by
+// gamma, learning_rate, batch_size (16), buffer_capacity,
+// target_sync_every, epsilon_start and epsilon_end; its SVM section is
+// "mobirescue-svm-v1 1 <gamma> <degree> <coef0> 3 3 <bias>" followed by
+// each coefficient and its support vector; its scaler section is
+// "mobirescue-scaler-v1 3" followed by the means and the deviations.
+INSTANTIATE_TEST_SUITE_P(
+    Numbers, HostileNumberTest,
+    ::testing::Values(
+        HostileNumber{"learner_ticks_negative", true, "ticks", 1, "0", "-1"},
+        HostileNumber{"learner_ticks_plus", true, "ticks", 1, "0", "+5"},
+        HostileNumber{"duration_rounds_past_int", true, "t", 3, nullptr,
+                      "4294967298"},
+        HostileNumber{"reward_overflows", true, "t", 1, nullptr, "1e400"},
+        HostileNumber{"dqn_batch_size_negative", false, "mobirescue-dqn-v1",
+                      7, "16", "-1"},
+        HostileNumber{"serving_ticks_negative", false,
+                      "mobirescue-serve-state-v1", 1, "97", "-1"},
+        HostileNumber{"record_time_overflows", false, "latest", 3, nullptr,
+                      "1e400"},
+        HostileNumber{"svm_gamma_nan", false, "mobirescue-svm-v1", 2, "0.37",
+                      "nan"},
+        HostileNumber{"svm_support_vector_nan", false, "mobirescue-svm-v1",
+                      9, "0.25", "nan"},
+        HostileNumber{"svm_support_vector_inf", false, "mobirescue-svm-v1",
+                      9, "0.25", "inf"},
+        HostileNumber{"scaler_mean_nan", false, "mobirescue-scaler-v1", 2,
+                      "10.5", "nan"},
+        HostileNumber{"scaler_stddev_inf", false, "mobirescue-scaler-v1", 5,
+                      "3.75", "-inf"},
+        HostileNumber{"dqn_gamma_nan", false, "mobirescue-dqn-v1", 5, "0.9",
+                      "nan"},
+        HostileNumber{"dqn_gamma_inf", false, "mobirescue-dqn-v1", 5, "0.9",
+                      "inf"},
+        HostileNumber{"dqn_epsilon_end_nan", false, "mobirescue-dqn-v1", 11,
+                      "0.05", "nan"}),
+    [](const ::testing::TestParamInfo<HostileNumber>& info) {
+      return std::string(info.param.name);
+    });
+
+/// Counts at and past every loader bound, numbers just outside a type,
+/// non-numbers, special doubles, section keywords; or any token of the
+/// original.
 std::string Replacement(util::Rng& rng,
                         const std::vector<std::string>& original) {
   static const char* const kPool[] = {
@@ -389,6 +481,7 @@ std::string Replacement(util::Rng& rng,
       "65536", "16777216",  "67108864", "4294967296", "18446744073709551615",
       "-0",    "0.5",       "1e308",    "5e-324",     "nan",
       "-nan",  "inf",       "-inf",     "1x",         "t",
+      "+1",    "1e400",     "0x10",     "4294967298",
       "latest", "buffer",   "mobirescue-learn-v1",    "mobirescue-learn-end",
       "mobirescue-serve-state-v1",      "mobirescue-serve-state-end",
       "99999999999999999999999"};
@@ -419,7 +512,7 @@ TEST(CheckpointMutationTest, SeededMutantsLoadOrThrowRuntimeError) {
     }
     ServiceCheckpoint got;
     try {
-      got = Load(Join(mutant));
+      got = LoadCheckpoint(Join(mutant));
     } catch (const std::runtime_error&) {
       ++rejected;
       continue;

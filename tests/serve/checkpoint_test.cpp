@@ -88,7 +88,7 @@ TEST(CheckpointTest, DqnRoundTripBitIdenticalQValues) {
 
   std::stringstream ss;
   SaveCheckpoint(ckpt, ss);
-  const ServiceCheckpoint loaded = LoadCheckpoint(ss);
+  const ServiceCheckpoint loaded = LoadCheckpoint(ss.str());
   auto restored = RestoreAgent(loaded);
 
   ASSERT_EQ(restored->config().feature_dim, agent->config().feature_dim);
@@ -112,7 +112,7 @@ TEST(CheckpointTest, SvmRoundTripBitIdenticalDecisionValues) {
 
   std::stringstream ss;
   SaveCheckpoint(ckpt, ss);
-  const ServiceCheckpoint loaded = LoadCheckpoint(ss);
+  const ServiceCheckpoint loaded = LoadCheckpoint(ss.str());
 
   EXPECT_EQ(loaded.svm_threshold, ckpt.svm_threshold);
   const auto raw = ProbeBatch(32, 3, 29);
@@ -137,7 +137,7 @@ TEST(CheckpointTest, SvmScalerDimensionMismatchRejected) {
 
   std::stringstream ss;
   SaveCheckpoint(ckpt, ss);
-  EXPECT_THROW(LoadCheckpoint(ss), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(ss.str()), std::runtime_error);
 }
 
 TEST(CheckpointTest, SvmFactorCountMismatchRejected) {
@@ -161,7 +161,7 @@ TEST(CheckpointTest, SvmFactorCountMismatchRejected) {
 
     std::stringstream ss;
     SaveCheckpoint(ckpt, ss);
-    EXPECT_THROW(LoadCheckpoint(ss), std::runtime_error) << "dim " << dim;
+    EXPECT_THROW(LoadCheckpoint(ss.str()), std::runtime_error) << "dim " << dim;
     EXPECT_THROW(predict::SvmRequestPredictor(factors, ckpt.svm,
                                               ckpt.svm_scaler, 0.0),
                  std::invalid_argument)
@@ -172,7 +172,7 @@ TEST(CheckpointTest, SvmFactorCountMismatchRejected) {
   bias_only.svm = ml::SvmModel(bias_only.svm.kernel(), {}, {}, 0.5);
   std::stringstream ss;
   SaveCheckpoint(bias_only, ss);
-  const ServiceCheckpoint loaded = LoadCheckpoint(ss);
+  const ServiceCheckpoint loaded = LoadCheckpoint(ss.str());
   EXPECT_NO_THROW(predict::SvmRequestPredictor(factors, loaded.svm,
                                                loaded.svm_scaler, 0.0));
 }
@@ -194,11 +194,11 @@ TEST(CheckpointTest, FileRoundTrip) {
 
 TEST(CheckpointTest, MalformedInputThrows) {
   std::stringstream wrong_magic("not-a-checkpoint 1 2 3");
-  EXPECT_THROW(LoadCheckpoint(wrong_magic), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(wrong_magic.str()), std::runtime_error);
 
   // Truncated: header only.
   std::stringstream truncated("mobirescue-ckpt-v1\nmobirescue-dqn-v1\n5 2 16");
-  EXPECT_THROW(LoadCheckpoint(truncated), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(truncated.str()), std::runtime_error);
 
   EXPECT_THROW(LoadCheckpointFromFile("/nonexistent/path/ckpt.txt"),
                std::runtime_error);
@@ -279,7 +279,7 @@ TEST(CheckpointTest, NanAndInfWeightsRoundTrip) {
 
   std::stringstream ss;
   SaveCheckpoint(ckpt, ss);
-  const ServiceCheckpoint loaded = LoadCheckpoint(ss);
+  const ServiceCheckpoint loaded = LoadCheckpoint(ss.str());
   ASSERT_EQ(loaded.dqn_weights.size(), ckpt.dqn_weights.size());
   // A poisoned model survives the round trip poisoned (so a monitoring
   // layer can detect it) instead of failing to parse.
@@ -308,16 +308,16 @@ TEST(CheckpointTest, WeightBlockSizeMustMatchTopology) {
   for (const char* bad : {"240", "242"}) {
     std::vector<std::string> corrupt = tokens;
     corrupt[count_index] = bad;
-    std::istringstream is(Join(corrupt, corrupt.size()));
-    EXPECT_THROW(LoadCheckpoint(is), std::runtime_error) << bad;
+    EXPECT_THROW(LoadCheckpoint(Join(corrupt, corrupt.size())),
+                 std::runtime_error)
+        << bad;
   }
 
   // A corrupt header advertising a huge block must throw *before* any
   // allocation happens (the size is checked against the topology).
   std::vector<std::string> huge = tokens;
   huge[count_index] = "999999999999";
-  std::istringstream is(Join(huge, huge.size()));
-  EXPECT_THROW(LoadCheckpoint(is), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(Join(huge, huge.size())), std::runtime_error);
 }
 
 TEST(CheckpointTest, TopologyBoundsRejectCorruptHeaders) {
@@ -325,15 +325,15 @@ TEST(CheckpointTest, TopologyBoundsRejectCorruptHeaders) {
   // are even read (no allocation from a corrupt count).
   std::stringstream huge_dim(
       "mobirescue-ckpt-v1\nmobirescue-dqn-v1\n9999999 2 16 8\n");
-  EXPECT_THROW(LoadCheckpoint(huge_dim), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(huge_dim.str()), std::runtime_error);
 
   std::stringstream huge_layers(
       "mobirescue-ckpt-v1\nmobirescue-dqn-v1\n5 4096 16\n");
-  EXPECT_THROW(LoadCheckpoint(huge_layers), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(huge_layers.str()), std::runtime_error);
 
   std::stringstream zero_width(
       "mobirescue-ckpt-v1\nmobirescue-dqn-v1\n5 2 16 0\n");
-  EXPECT_THROW(LoadCheckpoint(zero_width), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(zero_width.str()), std::runtime_error);
 }
 
 TEST(CheckpointTest, TruncationAtEveryTokenBoundaryThrows) {
@@ -347,13 +347,11 @@ TEST(CheckpointTest, TruncationAtEveryTokenBoundaryThrows) {
   ASSERT_GT(tokens.size(), 100u);
 
   for (std::size_t n = 0; n < tokens.size(); ++n) {
-    std::istringstream is(Join(tokens, n));
-    EXPECT_THROW(LoadCheckpoint(is), std::runtime_error)
+    EXPECT_THROW(LoadCheckpoint(Join(tokens, n)), std::runtime_error)
         << "prefix of " << n << " tokens parsed";
   }
   // Sanity: the full document does parse.
-  std::istringstream full(Join(tokens, tokens.size()));
-  EXPECT_NO_THROW(LoadCheckpoint(full));
+  EXPECT_NO_THROW(LoadCheckpoint(Join(tokens, tokens.size())));
 }
 
 TEST(CheckpointTest, ServingStateTruncationThrowsAndModelPrefixLoads) {
@@ -374,15 +372,10 @@ TEST(CheckpointTest, ServingStateTruncationThrowsAndModelPrefixLoads) {
 
   // Cut exactly at the model/serving boundary: a valid v1 model-only file
   // (backward compatibility with pre-recovery checkpoints).
-  {
-    std::istringstream is(Join(tokens, model_tokens));
-    const ServiceCheckpoint loaded = LoadCheckpoint(is);
-    EXPECT_FALSE(loaded.has_serving_state);
-  }
+  EXPECT_FALSE(LoadCheckpoint(Join(tokens, model_tokens)).has_serving_state);
   // Cut anywhere inside the serving-state section: throws.
   for (std::size_t n = model_tokens + 1; n < tokens.size(); ++n) {
-    std::istringstream is(Join(tokens, n));
-    EXPECT_THROW(LoadCheckpoint(is), std::runtime_error)
+    EXPECT_THROW(LoadCheckpoint(Join(tokens, n)), std::runtime_error)
         << "serving-state prefix of " << n << " tokens parsed";
   }
 }
@@ -391,15 +384,13 @@ TEST(CheckpointTest, TrailingGarbageThrows) {
   ServiceCheckpoint ckpt = FullCheckpoint();
   std::stringstream model_only;
   SaveCheckpoint(ckpt, model_only);
-  std::istringstream with_garbage(model_only.str() + " 42");
-  EXPECT_THROW(LoadCheckpoint(with_garbage), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(model_only.str() + " 42"), std::runtime_error);
 
   ckpt.has_serving_state = true;
   ckpt.serving = SampleServingState();
   std::stringstream with_state;
   SaveCheckpoint(ckpt, with_state);
-  std::istringstream after_state(with_state.str() + " 42");
-  EXPECT_THROW(LoadCheckpoint(after_state), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(with_state.str() + " 42"), std::runtime_error);
 }
 
 TEST(CheckpointTest, ServingStateRoundTrip) {
@@ -409,7 +400,7 @@ TEST(CheckpointTest, ServingStateRoundTrip) {
 
   std::stringstream ss;
   SaveCheckpoint(ckpt, ss);
-  const ServiceCheckpoint loaded = LoadCheckpoint(ss);
+  const ServiceCheckpoint loaded = LoadCheckpoint(ss.str());
 
   ASSERT_TRUE(loaded.has_serving_state);
   const ServingState& want = ckpt.serving;
@@ -449,9 +440,9 @@ TEST(CheckpointTest, ServingStateCountsAreBoundsChecked) {
   const std::string needle = "latest 2";
   const std::size_t at = text.find(needle);
   ASSERT_NE(at, std::string::npos);
-  std::istringstream corrupt(text.substr(0, at) + "latest 99999999999" +
-                             text.substr(at + needle.size()));
-  EXPECT_THROW(LoadCheckpoint(corrupt), std::runtime_error);
+  EXPECT_THROW(LoadCheckpoint(text.substr(0, at) + "latest 99999999999" +
+                              text.substr(at + needle.size())),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -224,7 +224,7 @@ TEST_F(DispatchServiceTest, CheckpointRestartServesIdentically) {
   // stand-in, and serve the same day: decisions must not change.
   std::stringstream blob;
   SaveCheckpoint(MakeCheckpoint(*agent_, *svm_), blob);
-  const ServiceCheckpoint loaded = LoadCheckpoint(blob);
+  const ServiceCheckpoint loaded = LoadCheckpoint(blob.str());
   auto restored_agent = RestoreAgent(loaded);
   auto restored_svm = RestorePredictor(loaded, *world_->train.factors);
 

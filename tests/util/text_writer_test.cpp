@@ -6,14 +6,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/text_reader.hpp"
 
 namespace mobirescue::util {
 namespace {
@@ -37,24 +38,23 @@ void ExpectSameDouble(double got, double want, const std::string& text) {
       << text;
 }
 
-/// Reads `text` back the two ways the checkpoint loaders do: strtod for
-/// every value, operator>> (the SVM, scaler and DQN config readers) for the
-/// finite ones. Also checks the text is never longer than the %.17g digits
-/// older checkpoints carry.
+double ReadDouble(const std::string& text) {
+  TextReader in(text, "ReadDouble");
+  double v = 0.0;
+  in >> v;
+  EXPECT_TRUE(in.AtEnd()) << text;
+  return v;
+}
+
+/// Reads the writer's text back through util::TextReader, the checkpoint
+/// loaders' reader, and the %.17g digits older checkpoints carry too; the
+/// writer's text is never the longer one.
 void ExpectRoundTrip(double v) {
   const std::string text = Written(v);
-  char* end = nullptr;
-  const double by_strtod = std::strtod(text.c_str(), &end);
-  EXPECT_EQ(end, text.c_str() + text.size()) << text;
-  ExpectSameDouble(by_strtod, v, text);
-  if (std::isfinite(v)) {
-    std::istringstream in(text);
-    double by_stream = 0.0;
-    EXPECT_TRUE(static_cast<bool>(in >> by_stream)) << text;
-    ExpectSameDouble(by_stream, v, text);
-  }
+  ExpectSameDouble(ReadDouble(text), v, text);
   char old_digits[40];
   std::snprintf(old_digits, sizeof(old_digits), "%.17g", v);
+  ExpectSameDouble(ReadDouble(old_digits), v, old_digits);
   EXPECT_LE(text.size(), std::strlen(old_digits)) << text;
 }
 
@@ -88,7 +88,7 @@ TEST(TextWriterTest, RandomBitPatternsRoundTripBitIdentically) {
     finite += std::isfinite(v) ? 1 : 0;
     ExpectRoundTrip(v);
   }
-  EXPECT_GT(finite, 9900);  // the stream reader was exercised too
+  EXPECT_GT(finite, 9900);  // nearly all of them went through the digits
 }
 
 TEST(TextWriterTest, IntegersCharsAndTextAppendInOrder) {
@@ -104,6 +104,82 @@ TEST(TextWriterTest, IntegersCharsAndTextAppendInOrder) {
   EXPECT_EQ(os.str(), want);
   EXPECT_EQ(out.Release(), want);
   EXPECT_EQ(out.Release(), "");
+
+  // And back, each value into its own type.
+  TextReader in(want, "IntegersCharsAndTextAppendInOrder");
+  std::uint64_t u = 0;
+  std::int64_t i = 0;
+  bool flag = true;
+  std::int32_t small = 0;
+  in.Expect("ticks");
+  in >> u >> i >> flag;
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(i, std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(flag);
+  EXPECT_EQ(in.Count(4096), 4096u);
+  in >> small;
+  EXPECT_EQ(small, -7);
+  EXPECT_FALSE(in.AtEnd());
+  in.Expect("end");
+  EXPECT_TRUE(in.AtEnd());
+}
+
+/// `text` read into a T throws std::runtime_error carrying the context.
+template <typename T>
+void ExpectRejected(const std::string& text) {
+  TextReader in(text, "ctx");
+  T v{};
+  try {
+    in >> v;
+    ADD_FAILURE() << "'" << text << "' was read";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("ctx: ", 0), 0u) << e.what();
+  }
+}
+
+TEST(TextReaderTest, RejectsWhatNoWriterWrites) {
+  // A double: a sign the writer never writes, a partly numeric token, hex,
+  // a value that rounds to ±inf or to zero, and the end of the input.
+  for (const char* text : {"+1", "1x", "0x1p3", "0x10", "1e400", "-1e400",
+                           "1e-400", "2e-324", ".", "-", "", " \n\t"}) {
+    ExpectRejected<double>(text);
+  }
+  // Integers: a sign an unsigned field cannot take, '+', a fraction or an
+  // exponent, and values just past each type's range.
+  for (const char* text : {"-1", "-0", "+5", "1.5", "1e3", "0x10", "1x",
+                           "18446744073709551616"}) {
+    ExpectRejected<std::uint64_t>(text);
+    ExpectRejected<std::size_t>(text);
+  }
+  ExpectRejected<std::uint32_t>("4294967296");
+  ExpectRejected<std::uint32_t>("-1");
+  ExpectRejected<std::int32_t>("2147483648");
+  ExpectRejected<std::int32_t>("-2147483649");
+  ExpectRejected<std::int32_t>("4294967298");
+  ExpectRejected<std::int32_t>("+5");
+  ExpectRejected<std::int64_t>("9223372036854775808");
+  ExpectRejected<std::int64_t>("-9223372036854775809");
+  ExpectRejected<bool>("2");
+  ExpectRejected<bool>("-1");
+
+  TextReader count("17", "ctx");
+  EXPECT_THROW(count.Count(16), std::runtime_error);
+  TextReader keyword("buffer 3", "ctx");
+  EXPECT_THROW(keyword.Expect("buffers"), std::runtime_error);
+  for (const char* text : {"nan", "-nan", "inf", "-inf"}) {
+    TextReader finite(text, "ctx");
+    EXPECT_THROW(finite.Finite(), std::runtime_error) << text;
+  }
+  // The largest values of each type still read.
+  TextReader edges("4294967295 2147483647 -2147483648 1.7976931348623157e308",
+                   "ctx");
+  std::uint32_t u32 = 0;
+  std::int32_t i32_max = 0, i32_min = 0;
+  edges >> u32 >> i32_max >> i32_min;
+  EXPECT_EQ(u32, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(i32_max, std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(i32_min, std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(edges.Finite(), std::numeric_limits<double>::max());
 }
 
 }  // namespace
