@@ -151,10 +151,12 @@ SvmRequestPredictor::SvmRequestPredictor(
   training_rows_ = train.size();
   model_ = ml::TrainSvm(train, config.svm);
 
-  // Calibrate the decision threshold on the hold-out: the raw 0-threshold
-  // tends to be recall-heavy on this data (everyone inside the storm looks
-  // somewhat endangered); the F1-optimal threshold restores selectivity so
-  // that ñ_e concentrates on the genuinely endangered.
+  // Calibrate the decision threshold on the hold-out. The SVM's own
+  // boundary, 0, stays the threshold unless a cut between two hold-out
+  // scores gives a strictly better F1; then the threshold moves to the
+  // midpoint of the first such F1-optimal cut. Every threshold inside one
+  // gap gives the same hold-out confusion, so a cut that only ties 0 is no
+  // reason to leave the margin.
   std::vector<std::vector<double>> holdout_rows;
   holdout_rows.reserve(holdout.size());
   for (const auto& [row, label] : holdout) holdout_rows.push_back(row);
@@ -165,10 +167,8 @@ SvmRequestPredictor::SvmRequestPredictor(
     scored.emplace_back(holdout_values[i], holdout[i].second);
   }
   std::sort(scored.begin(), scored.end());
-  double best_f1 = -1.0;
-  threshold_ = 0.0;
-  for (std::size_t cut = 0; cut <= scored.size(); ++cut) {
-    // Predict positive for entries at index >= cut.
+  // Hold-out F1 when the entries at index >= cut are predicted positive.
+  auto f1_at = [&scored](std::size_t cut) {
     int tp = 0, fp = 0, fn = 0;
     for (std::size_t i = 0; i < scored.size(); ++i) {
       const bool pred = i >= cut;
@@ -176,9 +176,16 @@ SvmRequestPredictor::SvmRequestPredictor(
       if (pred && scored[i].second == -1) ++fp;
       if (!pred && scored[i].second == 1) ++fn;
     }
-    const double f1 = (2 * tp + fp + fn) > 0
-                          ? 2.0 * tp / (2.0 * tp + fp + fn)
-                          : 0.0;
+    return (2 * tp + fp + fn) > 0 ? 2.0 * tp / (2.0 * tp + fp + fn) : 0.0;
+  };
+  // Threshold 0 predicts positive from the first score >= 0 on.
+  const auto first_nonnegative = std::partition_point(
+      scored.begin(), scored.end(),
+      [](const std::pair<double, int>& s) { return s.first < 0.0; });
+  double best_f1 = f1_at(first_nonnegative - scored.begin());
+  threshold_ = 0.0;
+  for (std::size_t cut = 0; cut <= scored.size(); ++cut) {
+    const double f1 = f1_at(cut);
     if (f1 > best_f1) {
       best_f1 = f1;
       if (cut == 0) {

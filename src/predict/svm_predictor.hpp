@@ -35,6 +35,14 @@ struct SvmPredictorConfig {
     // while a linear decision function extrapolates monotonically — more
     // rain, more wind, lower ground => more danger. The kernel ablation
     // bench compares all three kernels.
+    // Measured, the trained altitude weight has the other sign: z-scored
+    // +0.21 in the 12x12 test and 16x16 demo worlds, +0.13 in the 24x24
+    // paper world, so higher ground scores as more dangerous. The cause is
+    // in the negatives: 59 of the 101 never-rescued peers sampled at
+    // rescue-matched times (test world) stand in water at least
+    // TraceConfig::evacuated_depth_m (1.2 m) deep, where the generator traps
+    // nobody (CHANGES.md, the FOUND line on
+    // DistributionCountsPeopleOnSegments).
     svm.kernel.type = ml::KernelType::kLinear;
     svm.c = 2.0;
   }
@@ -93,7 +101,9 @@ class SvmRequestPredictor {
   /// raw (P, W, A) factor row into the model's input space).
   const ml::FeatureScaler& scaler() const { return scaler_; }
   std::size_t training_rows() const { return training_rows_; }
-  /// F1-calibrated decision threshold (raw SVM uses 0).
+  /// Decision threshold: the SVM's own boundary 0, unless a cut between
+  /// two hold-out scores has a strictly better hold-out F1 than 0, in which
+  /// case it is the midpoint of the first F1-optimal cut.
   double threshold() const { return threshold_; }
 
  private:
