@@ -1,7 +1,9 @@
 #include "learn/promotion_controller.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -81,20 +83,45 @@ void PromotionController::AddEvidence(rl::Transition t) {
 double PromotionController::MeanTdError(
     const rl::DqnAgent& agent, const std::deque<rl::Transition>& window) {
   if (window.empty()) return 0.0;
+  // One batched Q pass over the window: row i is transition i's features,
+  // and the next-candidate rows of every bootstrapping transition follow
+  // in window order. A row scores the same bits in any batch (DESIGN.md
+  // §10.1), so this equals scoring each transition on its own.
+  const std::size_t dim = agent.config().feature_dim;
+  std::size_t rows = window.size();
+  for (const rl::Transition& t : window) {
+    if (!t.terminal) rows += t.next_candidates.size();
+  }
+  ml::Matrix batch(rows, dim);
+  auto out = batch.data().begin();
+  const auto pack = [&](const std::vector<double>& row) {
+    if (row.size() != dim) {
+      throw std::invalid_argument("MeanTdError: bad feature dim");
+    }
+    out = std::copy(row.begin(), row.end(), out);
+  };
+  for (const rl::Transition& t : window) pack(t.features);
+  for (const rl::Transition& t : window) {
+    if (t.terminal) continue;
+    for (const std::vector<double>& c : t.next_candidates) pack(c);
+  }
+  const std::vector<double> q = agent.QValues(batch);
+
   const double gamma = agent.config().gamma;
   double sum = 0.0;
-  for (const rl::Transition& t : window) {
-    const double pred = agent.QValue(t.features);
+  std::size_t next = window.size();
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    const rl::Transition& t = window[i];
     double y = t.reward;
     if (!t.terminal && !t.next_candidates.empty()) {
-      const std::vector<double> next_q = agent.QValues(t.next_candidates);
-      double best = next_q[0];
-      for (const double q : next_q) {
-        if (q > best) best = q;
+      const std::size_t end = next + t.next_candidates.size();
+      double best = q[next];
+      for (++next; next < end; ++next) {
+        if (q[next] > best) best = q[next];
       }
       y += std::pow(gamma, std::max(1, t.duration_rounds)) * best;
     }
-    sum += std::abs(y - pred);
+    sum += std::abs(y - q[i]);
   }
   return sum / static_cast<double>(window.size());
 }

@@ -47,6 +47,7 @@ DqnAgent::DqnAgent(const DqnConfig& config)
       buffer_(config.buffer_capacity),
       rng_(config.seed ^ 0xABCDEF) {
   target_.CopyWeightsFrom(online_);
+  ++target_epoch_;
 }
 
 double DqnAgent::CurrentEpsilon() const {
@@ -96,10 +97,13 @@ double DqnAgent::QValue(std::span<const double> features) const {
 
 std::vector<double> DqnAgent::QValues(
     const std::vector<std::vector<double>>& candidates) const {
+  return QValues(PackRows(candidates, config_.feature_dim));
+}
+
+std::vector<double> DqnAgent::QValues(const ml::Matrix& rows) const {
   // The Q-head is 1-dimensional, so the (n x 1) output matrix's storage is
-  // exactly the per-candidate Q vector.
-  return online_.PredictBatch(PackRows(candidates, config_.feature_dim))
-      .data();
+  // exactly the per-row Q vector.
+  return online_.PredictBatch(rows).data();
 }
 
 double DqnAgent::MaxTargetQ(
@@ -120,52 +124,69 @@ double DqnAgent::TrainStep() {
   if (buffer_.size() < config_.batch_size) return 0.0;
   OBS_SPAN("dqn.train_step");
   const auto train_t0 = std::chrono::steady_clock::now();
-  const auto batch = buffer_.Sample(config_.batch_size, rng_);
+  const std::vector<std::size_t> slots =
+      buffer_.Sample(config_.batch_size, rng_);
+  const std::vector<Transition>& data = buffer_.data();
 
-  // Pack all candidates of all transitions into one matrix and run a single
-  // target-network pass; per-transition maxima come from the row spans.
-  ml::Matrix inputs(batch.size(), config_.feature_dim);
-  std::vector<std::pair<std::size_t, std::size_t>> spans(batch.size());
-  std::size_t total_rows = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Transition& t = *batch[i];
+  // max_a' Q_target(s', a') per sampled transition. The target net does not
+  // change within an epoch, so a slot's memoised max is reused; the stale
+  // transitions' next-candidates go into one matrix for a single target
+  // pass, and their maxima come from the row spans. A row scores the same
+  // bits in any batch (DESIGN.md §10.1), so the memo changes no target.
+  ml::Matrix inputs(slots.size(), config_.feature_dim);
+  std::vector<double> next_max(slots.size());
+  std::vector<std::size_t> stale;
+  std::size_t stale_rows = 0;
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const Transition& t = data[slots[i]];
     if (t.features.size() != config_.feature_dim) {
       throw std::invalid_argument("TrainStep: bad feature dim in buffer");
     }
     std::copy(t.features.begin(), t.features.end(),
               inputs.data().begin() + i * config_.feature_dim);
-    spans[i].first = total_rows;
-    if (!t.terminal) total_rows += t.next_candidates.size();
-    spans[i].second = total_rows;
+    if (t.terminal || t.next_candidates.empty()) continue;
+    if (buffer_.CachedBootstrap(slots[i], target_epoch_, &next_max[i])) {
+      ++hits;
+      continue;
+    }
+    stale.push_back(i);
+    stale_rows += t.next_candidates.size();
   }
-  ml::Matrix next_features(total_rows, config_.feature_dim);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Transition& t = *batch[i];
-    if (t.terminal) continue;
-    std::size_t row = spans[i].first;
-    for (const std::vector<double>& c : t.next_candidates) {
-      if (c.size() != config_.feature_dim) {
-        throw std::invalid_argument("TrainStep: bad feature dim in buffer");
+  if (!stale.empty()) {
+    ml::Matrix next_features(stale_rows, config_.feature_dim);
+    auto row_out = next_features.data().begin();
+    for (const std::size_t i : stale) {
+      for (const std::vector<double>& c : data[slots[i]].next_candidates) {
+        if (c.size() != config_.feature_dim) {
+          throw std::invalid_argument("TrainStep: bad feature dim in buffer");
+        }
+        row_out = std::copy(c.begin(), c.end(), row_out);
       }
-      std::copy(c.begin(), c.end(),
-                next_features.data().begin() + row * config_.feature_dim);
-      ++row;
+    }
+    const ml::Matrix next_q = target_.PredictBatch(next_features);
+    std::size_t row = 0;
+    for (const std::size_t i : stale) {
+      const std::size_t end = row + data[slots[i]].next_candidates.size();
+      double best = next_q(row, 0);
+      for (++row; row < end; ++row) {
+        if (next_q(row, 0) > best) best = next_q(row, 0);
+      }
+      next_max[i] = best;
+      buffer_.CacheBootstrap(slots[i], target_epoch_, best);
     }
   }
-  const ml::Matrix next_q = target_.PredictBatch(next_features);
+  target_rows_total_.Increment(stale_rows);
+  bootstrap_memo_hits_total_.Increment(hits);
 
-  ml::Matrix targets(batch.size(), 1);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Transition& t = *batch[i];
+  ml::Matrix targets(slots.size(), 1);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const Transition& t = data[slots[i]];
     double y = t.reward;
-    if (spans[i].second > spans[i].first) {
-      double best = next_q(spans[i].first, 0);
-      for (std::size_t r = spans[i].first + 1; r < spans[i].second; ++r) {
-        if (next_q(r, 0) > best) best = next_q(r, 0);
-      }
+    if (!t.terminal && !t.next_candidates.empty()) {
       const double discount =
           std::pow(config_.gamma, std::max(1, t.duration_rounds));
-      y += discount * best;
+      y += discount * next_max[i];
     }
     targets(i, 0) = y;
   }
@@ -175,6 +196,7 @@ double DqnAgent::TrainStep() {
   if (config_.target_sync_every > 0 &&
       train_steps_ % static_cast<std::size_t>(config_.target_sync_every) == 0) {
     target_.CopyWeightsFrom(online_);
+    ++target_epoch_;
   }
   train_steps_total_.Increment();
   train_step_ms_.Observe(std::chrono::duration<double, std::milli>(
@@ -186,6 +208,7 @@ double DqnAgent::TrainStep() {
 void DqnAgent::LoadWeights(std::span<const double> w) {
   online_.LoadWeights(w);
   target_.CopyWeightsFrom(online_);
+  ++target_epoch_;
 }
 
 void DqnAgent::SaveTrainerState(util::TextWriter& out) const {

@@ -56,6 +56,8 @@ class DqnAgent {
   /// is bit-identical to QValue(candidates[i]).
   std::vector<double> QValues(
       const std::vector<std::vector<double>>& candidates) const;
+  /// The same over rows already packed into an (n x feature_dim) matrix.
+  std::vector<double> QValues(const ml::Matrix& rows) const;
 
   /// Draws the exploration coin at the current epsilon and advances the
   /// decision counter (for callers that mix Q with an external prior).
@@ -72,7 +74,9 @@ class DqnAgent {
   void Push(Transition t) { buffer_.Push(std::move(t)); }
 
   /// One minibatch gradient step; returns the loss (0 when the buffer is
-  /// too small to sample).
+  /// too small to sample). A sampled transition's bootstrap max comes from
+  /// the replay buffer's memo when it was computed under the current
+  /// target epoch; one target pass scores the rest (DESIGN.md §15.5).
   double TrainStep();
 
   double CurrentEpsilon() const;
@@ -104,7 +108,10 @@ class DqnAgent {
   std::vector<double> SaveTargetWeights() const {
     return target_.SaveWeights();
   }
-  void LoadTargetWeights(std::span<const double> w) { target_.LoadWeights(w); }
+  void LoadTargetWeights(std::span<const double> w) {
+    target_.LoadWeights(w);
+    ++target_epoch_;
+  }
 
  private:
   DqnConfig config_;
@@ -114,6 +121,13 @@ class DqnAgent {
   util::Rng rng_;
   std::size_t decisions_ = 0;
   std::size_t train_steps_ = 0;
+  /// Target-network epoch: bumped by every write of target_ (construction,
+  /// LoadWeights, LoadTargetWeights, the sync every target_sync_every
+  /// steps), so it names one set of target weights. The replay buffer's
+  /// bootstrap memo is stamped with it; a memoised max is reused only
+  /// under the epoch it was computed in. Never serialised: a restored
+  /// agent starts a new epoch and recomputes.
+  std::uint64_t target_epoch_ = 0;
 
   // Registry-backed instruments (obs/metrics.hpp). SelectAction pays one
   // striped counter increment; TrainStep is ms-scale so the extra clock
@@ -122,6 +136,12 @@ class DqnAgent {
                                      "DQN action selections."};
   obs::Counter train_steps_total_{"rl_dqn_train_steps_total",
                                   "DQN minibatch gradient steps."};
+  obs::Counter target_rows_total_{
+      "rl_dqn_target_rows_total",
+      "Next-candidate rows scored by the DQN target network in TrainStep."};
+  obs::Counter bootstrap_memo_hits_total_{
+      "rl_dqn_bootstrap_memo_hits_total",
+      "TrainStep bootstrap maxima served from the replay buffer's memo."};
   obs::Histogram train_step_ms_{"rl_dqn_train_step_ms",
                                 "One minibatch gradient step (ms).",
                                 obs::Histogram::LatencyBucketsMs()};

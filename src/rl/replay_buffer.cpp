@@ -10,33 +10,46 @@ void ReplayBuffer::Push(Transition t) {
   const std::size_t slot =
       ring_.size() < ring_.capacity() ? ring_.size() : ring_.oldest();
   if (slot < text_.size()) text_[slot].clear();
+  if (slot < bootstrap_.size()) bootstrap_[slot].epoch = 0;
   const std::uint64_t evicted = ring_.evictions();
   ring_.Push(std::move(t));
   if (ring_.evictions() != evicted) evictions_total_.Increment();
 }
 
-std::vector<const Transition*> ReplayBuffer::Sample(std::size_t n,
-                                                    util::Rng& rng) const {
-  const std::vector<Transition>& data = ring_.data();
-  std::vector<const Transition*> out;
-  if (data.empty()) return out;
-  out.reserve(n);
-  if (n <= data.size()) {
-    // Without replacement (partial Fisher-Yates): a minibatch never
-    // contains the same transition twice, which matters early in training
-    // when the buffer is barely larger than the batch.
-    std::vector<std::size_t> idx(data.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::swap(idx[i], idx[i + rng.Index(idx.size() - i)]);
-      out.push_back(&data[idx[i]]);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(&data[rng.Index(data.size())]);
-    }
+std::vector<std::size_t> ReplayBuffer::Sample(std::size_t n,
+                                              util::Rng& rng) const {
+  const std::size_t size = ring_.size();
+  if (size == 0) return {};
+  if (n > size) {
+    std::vector<std::size_t> out(n);
+    for (std::size_t& slot : out) slot = rng.Index(size);
+    return out;
   }
-  return out;
+  // Without replacement (partial Fisher-Yates): a minibatch never contains
+  // the same transition twice, which matters early in training when the
+  // buffer is barely larger than the batch.
+  std::vector<std::size_t> idx(size);
+  std::iota(idx.begin(), idx.end(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::swap(idx[i], idx[i + rng.Index(size - i)]);
+  }
+  idx.resize(n);
+  return idx;
+}
+
+bool ReplayBuffer::CachedBootstrap(std::size_t slot, std::uint64_t epoch,
+                                   double* max_q) const {
+  if (slot >= bootstrap_.size() || bootstrap_[slot].epoch != epoch) {
+    return false;
+  }
+  *max_q = bootstrap_[slot].max_q;
+  return true;
+}
+
+void ReplayBuffer::CacheBootstrap(std::size_t slot, std::uint64_t epoch,
+                                  double max_q) {
+  if (bootstrap_.size() < ring_.size()) bootstrap_.resize(ring_.size());
+  bootstrap_[slot] = {max_q, epoch};
 }
 
 void ReplayBuffer::Restore(std::vector<Transition> data, std::size_t cursor,
@@ -44,6 +57,7 @@ void ReplayBuffer::Restore(std::vector<Transition> data, std::size_t cursor,
   ring_.Restore(std::move(data), cursor, evictions);
   pushes_ = pushes;
   text_.clear();
+  bootstrap_.clear();
 }
 
 void ReplayBuffer::AppendText(util::TextWriter& out,

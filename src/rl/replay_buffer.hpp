@@ -6,12 +6,21 @@
 // the feature vectors of every candidate available at the next round (for
 // the max_a' Q(s', a') bootstrap target).
 //
+// Each slot carries two memos of values that never change while the slot
+// holds the same transition: its checkpoint text (AppendText) and its
+// bootstrap max_a' Q_target(s', a') under one target-network epoch
+// (DqnAgent::TrainStep, DESIGN.md §15.5). Both are dropped in the same two
+// places: Push() drops the slot it writes, whether it appends or overwrites
+// the oldest slot, and Restore() drops every slot's. Both grow with the
+// stored transitions, never with the capacity.
+//
 // Threading contract: single writer. Push(), Sample() and the checkpoint
 // accessors are not synchronised; offline training and the online learner
 // (which runs its whole tick phase on the serving thread) each own their
-// buffer. AppendText() is const but fills the checkpoint-text memo, so it
-// belongs to that writer too: call it from the thread that pushes, never
-// beside a Push() or another AppendText().
+// buffer. AppendText() is const but fills the checkpoint-text memo, and
+// CacheBootstrap() fills the bootstrap memo, so both belong to that writer
+// too: call them from the thread that pushes, never beside a Push() or
+// each other.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +64,18 @@ class ReplayBuffer {
   std::uint64_t pushes() const { return pushes_; }
   std::uint64_t evictions() const { return ring_.evictions(); }
 
-  /// Uniform random sample: without replacement when n <= size() (no
-  /// transition appears twice in a minibatch), with replacement otherwise.
-  std::vector<const Transition*> Sample(std::size_t n, util::Rng& rng) const;
+  /// Uniform random sample of slots (indices into data()): without
+  /// replacement when n <= size() (no transition appears twice in a
+  /// minibatch), with replacement otherwise.
+  std::vector<std::size_t> Sample(std::size_t n, util::Rng& rng) const;
+
+  /// Bootstrap memo: CachedBootstrap() returns true and stores the slot's
+  /// max_a' Q_target(s', a') in `*max_q` when CacheBootstrap() recorded one
+  /// under the same target epoch since the slot's last write. Epoch 0 is
+  /// never a valid stamp (DqnAgent's epochs start at 1).
+  bool CachedBootstrap(std::size_t slot, std::uint64_t epoch,
+                       double* max_q) const;
+  void CacheBootstrap(std::size_t slot, std::uint64_t epoch, double max_q);
 
   // Checkpointing access: the stored transitions in slot order plus the
   // ring cursor. Restore() rebuilds both so sampling after a restore is
@@ -84,6 +102,13 @@ class ReplayBuffer {
   /// AppendText(), so a buffer that is never checkpointed (offline
   /// training) holds no text.
   mutable std::vector<std::string> text_;
+  /// Bootstrap max per slot and the target epoch it was computed under;
+  /// epoch 0 = none. Grows only in CacheBootstrap().
+  struct Bootstrap {
+    double max_q = 0.0;
+    std::uint64_t epoch = 0;
+  };
+  std::vector<Bootstrap> bootstrap_;
 
   obs::Counter pushes_total_{"rl_replay_pushes_total",
                              "Transitions appended to a replay buffer."};

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "util/text_writer.hpp"
+
 namespace mobirescue::rl {
 namespace {
 
@@ -140,6 +148,133 @@ TEST(DqnAgentTest, ExploreNowAdvancesDecisions) {
   agent.ExploreNow();
   EXPECT_EQ(agent.decisions_made(), before + 1);
   EXPECT_LT(agent.RandomAction(5), 5u);
+}
+
+/// A transition with random features and reward; one in five is terminal,
+/// the rest bootstrap over 1-4 random next-candidates.
+Transition RandomTransition(util::Rng& rng) {
+  Transition t;
+  t.features = {rng.Uniform(-1, 1), rng.Uniform(-1, 1), rng.Uniform(-1, 1)};
+  t.reward = rng.Uniform(-1, 1);
+  t.terminal = rng.Index(5) == 0;
+  if (!t.terminal) {
+    const std::size_t n = 1 + rng.Index(4);
+    for (std::size_t i = 0; i < n; ++i) {
+      t.next_candidates.push_back(
+          {rng.Uniform(-1, 1), rng.Uniform(-1, 1), rng.Uniform(-1, 1)});
+    }
+  }
+  t.duration_rounds = 1 + static_cast<int>(rng.Index(3));
+  return t;
+}
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> bits;
+  for (const double x : v) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+std::string TrainerState(const DqnAgent& agent) {
+  util::TextWriter out;
+  agent.SaveTrainerState(out);
+  return out.Release();
+}
+
+TEST(DqnAgentTest, BootstrapMemoMatchesRecomputation) {
+  // `memo` trains as shipped. `fresh` reloads its own target weights
+  // before every step: the same weights under a new target epoch, so it
+  // recomputes every bootstrap, as TrainStep did before the memo. Syncs
+  // every 5 steps, pushes between steps into a ring they wrap, and a
+  // mid-run rewind of both buffers must leave every loss, both networks
+  // and the optimizer state bitwise equal.
+  DqnConfig config = SmallConfig();
+  config.batch_size = 8;
+  config.buffer_capacity = 24;
+  config.target_sync_every = 5;
+  DqnAgent memo(config);
+  DqnAgent fresh(config);
+  util::Rng rng(17);
+  for (std::size_t i = 0; i < config.buffer_capacity; ++i) {
+    const Transition t = RandomTransition(rng);
+    memo.Push(t);
+    fresh.Push(t);
+  }
+  std::vector<Transition> saved_data;
+  std::size_t saved_cursor = 0;
+  std::uint64_t saved_pushes = 0, saved_evictions = 0;
+  const obs::SnapshotDelta counters;
+  for (int step = 0; step < 40; ++step) {
+    for (int p = 0; p < 2; ++p) {
+      const Transition t = RandomTransition(rng);
+      memo.Push(t);
+      fresh.Push(t);
+    }
+    if (step == 12) {
+      const ReplayBuffer& b = memo.buffer();
+      saved_data = b.data();
+      saved_cursor = b.cursor();
+      saved_pushes = b.pushes();
+      saved_evictions = b.evictions();
+    }
+    if (step == 22) {  // rewind both to step 12's contents
+      memo.mutable_buffer().Restore(saved_data, saved_cursor, saved_pushes,
+                                    saved_evictions);
+      fresh.mutable_buffer().Restore(saved_data, saved_cursor, saved_pushes,
+                                     saved_evictions);
+    }
+    fresh.LoadTargetWeights(fresh.SaveTargetWeights());
+    const double memo_loss = memo.TrainStep();
+    const double fresh_loss = fresh.TrainStep();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(memo_loss),
+              std::bit_cast<std::uint64_t>(fresh_loss))
+        << "step " << step;
+  }
+  EXPECT_EQ(memo.train_steps(), 40u);  // 8 target syncs
+  EXPECT_EQ(Bits(memo.SaveWeights()), Bits(fresh.SaveWeights()));
+  EXPECT_EQ(Bits(memo.SaveTargetWeights()), Bits(fresh.SaveTargetWeights()));
+  EXPECT_EQ(TrainerState(memo), TrainerState(fresh));
+  // `fresh` never hits its memo, so these are all `memo`'s: the memo was
+  // used, and the test compared something.
+  EXPECT_GT(counters.Delta("rl_dqn_bootstrap_memo_hits_total"), 0.0);
+}
+
+TEST(DqnAgentTest, MemoCountsTargetRowsAndHits) {
+  // A buffer of exactly batch_size transitions: every step samples all of
+  // them, so a step either scores all 6 next-candidate rows (3
+  // bootstrapping transitions, one terminal) or takes all 3 maxima from
+  // the memo.
+  DqnConfig config = SmallConfig();
+  config.batch_size = 4;
+  config.buffer_capacity = 4;
+  config.target_sync_every = 2;
+  DqnAgent agent(config);
+  util::Rng rng(3);
+  for (const std::size_t n : {2, 3, 1, 0}) {
+    Transition t = RandomTransition(rng);
+    t.terminal = n == 0;
+    t.next_candidates.resize(n, {0.1, 0.2, 0.3});
+    agent.Push(std::move(t));
+  }
+  obs::SnapshotDelta counters;
+  const auto step = [&](double rows, double hits) {
+    counters.Rebase();
+    agent.TrainStep();
+    EXPECT_EQ(counters.Delta("rl_dqn_target_rows_total"), rows)
+        << "step " << agent.train_steps();
+    EXPECT_EQ(counters.Delta("rl_dqn_bootstrap_memo_hits_total"), hits)
+        << "step " << agent.train_steps();
+  };
+  step(6, 0);  // a new epoch: everything is scored
+  step(0, 3);  // the second step before the sync: all from the memo
+  step(6, 0);  // the first step after the sync
+  agent.Push(agent.buffer().data()[0]);
+  step(2, 2);  // the overwritten slot 0 (2 rows) is scored again; sync
+  step(6, 0);
+  agent.LoadTargetWeights(agent.SaveTargetWeights());
+  step(6, 0);  // loading target weights starts a new epoch; sync
+  step(6, 0);
+  agent.LoadWeights(agent.SaveWeights());
+  step(6, 0);  // so does loading online weights (it syncs the target)
 }
 
 }  // namespace

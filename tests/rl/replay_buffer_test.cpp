@@ -63,9 +63,9 @@ TEST(ReplayBufferTest, RingOverwritesOldestFirst) {
   buffer.Push(Make(3));  // should replace reward=1
   util::Rng rng(1);
   bool saw1 = false, saw3 = false;
-  for (const Transition* t : buffer.Sample(200, rng)) {
-    saw1 = saw1 || t->reward == 1.0;
-    saw3 = saw3 || t->reward == 3.0;
+  for (const std::size_t slot : buffer.Sample(200, rng)) {
+    saw1 = saw1 || buffer.data()[slot].reward == 1.0;
+    saw3 = saw3 || buffer.data()[slot].reward == 3.0;
   }
   EXPECT_FALSE(saw1);
   EXPECT_TRUE(saw3);
@@ -83,9 +83,8 @@ TEST(ReplayBufferTest, SampleSizeAndMembership) {
   util::Rng rng(3);
   const auto sample = buffer.Sample(32, rng);
   EXPECT_EQ(sample.size(), 32u);
-  for (const Transition* t : sample) {
-    EXPECT_GE(t->reward, 0.0);
-    EXPECT_LT(t->reward, 5.0);
+  for (const std::size_t slot : sample) {
+    EXPECT_LT(slot, buffer.size());
   }
 }
 
@@ -98,13 +97,13 @@ TEST(ReplayBufferTest, SampleWithoutReplacementWhenBufferSuffices) {
   util::Rng rng(7);
   const auto sample = buffer.Sample(10, rng);
   ASSERT_EQ(sample.size(), 10u);
-  std::set<const Transition*> distinct(sample.begin(), sample.end());
+  std::set<std::size_t> distinct(sample.begin(), sample.end());
   EXPECT_EQ(distinct.size(), 10u);  // every stored transition exactly once
 
   util::Rng rng2(8);
   const auto partial = buffer.Sample(6, rng2);
   ASSERT_EQ(partial.size(), 6u);
-  std::set<const Transition*> partial_distinct(partial.begin(), partial.end());
+  std::set<std::size_t> partial_distinct(partial.begin(), partial.end());
   EXPECT_EQ(partial_distinct.size(), 6u);
 }
 
@@ -127,7 +126,7 @@ TEST(ReplayBufferTest, StoresFullTransitionPayload) {
   t.duration_rounds = 7;
   buffer.Push(t);
   util::Rng rng(4);
-  const Transition* got = buffer.Sample(1, rng)[0];
+  const Transition* got = &buffer.data()[buffer.Sample(1, rng)[0]];
   EXPECT_EQ(got->features, (std::vector<double>{1, 2, 3}));
   EXPECT_EQ(got->next_candidates.size(), 2u);
   EXPECT_TRUE(got->terminal);
@@ -166,8 +165,10 @@ TEST(ReplayBufferTest, WrappedBufferSamplesDeterministicallyAndRestores) {
   const auto sample_c = copy.Sample(32, rng_c);
   ASSERT_EQ(sample_c.size(), sample_a.size());
   for (std::size_t i = 0; i < sample_a.size(); ++i) {
-    EXPECT_EQ(sample_a[i]->reward, sample_c[i]->reward);
-    EXPECT_EQ(sample_a[i]->features, sample_c[i]->features);
+    EXPECT_EQ(buffer.data()[sample_a[i]].reward,
+              copy.data()[sample_c[i]].reward);
+    EXPECT_EQ(buffer.data()[sample_a[i]].features,
+              copy.data()[sample_c[i]].features);
   }
   buffer.Push(Make(-1.0));
   copy.Push(Make(-1.0));
@@ -242,6 +243,27 @@ TEST(ReplayBufferTest, AppendTextFormatsEachSlotOncePerPush) {
   buffer.Restore({Make(7)}, 0, 1, 0);
   EXPECT_EQ(MemoText(buffer, format), FreshText(buffer));
   EXPECT_EQ(format.calls, 10);
+}
+
+TEST(ReplayBufferTest, BootstrapMemoDroppedByPushAndRestore) {
+  ReplayBuffer buffer(2);
+  buffer.Push(Make(1));
+  double q = 0.0;
+  EXPECT_FALSE(buffer.CachedBootstrap(0, 1, &q));
+  buffer.CacheBootstrap(0, 1, 0.5);
+  ASSERT_TRUE(buffer.CachedBootstrap(0, 1, &q));
+  EXPECT_EQ(q, 0.5);
+  EXPECT_FALSE(buffer.CachedBootstrap(0, 2, &q));  // another epoch
+  buffer.Push(Make(2));  // appends to slot 1: slot 0 keeps its value
+  EXPECT_TRUE(buffer.CachedBootstrap(0, 1, &q));
+  buffer.CacheBootstrap(1, 1, 0.75);
+  buffer.Push(Make(3));  // overwrites slot 0
+  EXPECT_FALSE(buffer.CachedBootstrap(0, 1, &q));
+  ASSERT_TRUE(buffer.CachedBootstrap(1, 1, &q));
+  EXPECT_EQ(q, 0.75);
+  buffer.Restore(buffer.data(), buffer.cursor(), buffer.pushes(),
+                 buffer.evictions());
+  EXPECT_FALSE(buffer.CachedBootstrap(1, 1, &q));
 }
 
 }  // namespace
