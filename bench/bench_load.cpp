@@ -4,11 +4,11 @@
 // StreamState::ApplyBatch — at metro scale twice over the *same* record
 // stream:
 //
-//   single_state_apply    config.shards = 1: the classic path (scalar
-//                         NearestSegment per record, one flow analyzer
-//                         with one process-wide dedup set)
+//   single_state_apply    config.shards = 1: the classic path (one
+//                         NearestSegment per record in drain order, one
+//                         flow analyzer with one process-wide dedup set)
 //   sharded_state_apply   config.shards = 16: region-sharded batches
-//                         (cell-grouped SoA nearest-segment scans,
+//                         (the same query over cell-grouped records,
 //                         per-shard flow analyzers with small dedup sets)
 //
 // and reports sustained records/sec for both, the ingest queue's per-shard

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 namespace mobirescue::dispatch {
 
@@ -11,11 +12,10 @@ DispatchFeaturizer::DispatchFeaturizer(const roadnet::City& city,
     : city_(city), router_(city.network), config_(config) {}
 
 RoundData DispatchFeaturizer::PrepareRound(
-    const predict::Distribution& demand,
-    const roadnet::NetworkCondition& condition,
+    predict::Distribution demand, const roadnet::NetworkCondition& condition,
     const std::vector<roadnet::SegmentId>& must_include) const {
   RoundData round;
-  round.demand = demand;
+  round.demand = std::move(demand);
 
   std::unordered_set<roadnet::SegmentId> included;
   for (roadnet::SegmentId seg : must_include) {
@@ -24,7 +24,8 @@ RoundData DispatchFeaturizer::PrepareRound(
   }
 
   std::vector<std::pair<int, roadnet::SegmentId>> ranked;
-  for (const auto& [seg, count] : demand) {
+  ranked.reserve(round.demand.size());
+  for (const auto& [seg, count] : round.demand) {
     if (count <= 0) continue;
     round.total_demand += count;
     if (included.count(seg) != 0) continue;
@@ -33,11 +34,16 @@ RoundData DispatchFeaturizer::PrepareRound(
     // landmark) to pick them up.
     ranked.emplace_back(count, seg);
   }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
+  // Only the top k are kept. The order is total (segments are distinct),
+  // so the kept candidates and their order do not depend on how the map
+  // iterates or on which sort ranks them.
   const std::size_t k =
       std::min<std::size_t>(ranked.size(), static_cast<std::size_t>(config_.top_k));
+  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.first != b.first ? a.first > b.first
+                                                : a.second < b.second;
+                    });
   for (std::size_t i = 0; i < k; ++i) round.candidates.push_back(ranked[i].second);
 
   round.trees.reserve(round.candidates.size() + 1);

@@ -55,9 +55,11 @@ class DispatchFeaturizer {
   /// Selects candidates from a predicted distribution and runs the reverse
   /// Dijkstra passes under the operable network condition. Segments in
   /// `must_include` (e.g. every segment with an appeared pending request)
-  /// are always candidates; `top_k` caps only the speculative remainder.
+  /// are always candidates; `top_k` caps only the speculative remainder,
+  /// ranked by count (descending), then segment id. `demand` becomes the
+  /// round's `demand`: move a per-round map in to avoid copying it.
   RoundData PrepareRound(
-      const predict::Distribution& demand,
+      predict::Distribution demand,
       const roadnet::NetworkCondition& condition,
       const std::vector<roadnet::SegmentId>& must_include = {}) const;
 

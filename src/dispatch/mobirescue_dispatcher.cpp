@@ -1,15 +1,41 @@
 #include "dispatch/mobirescue_dispatcher.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "opt/hungarian.hpp"
 
 namespace mobirescue::dispatch {
+
+namespace {
+
+/// Puts the wall time of the enclosing scope into a decide stage's
+/// histogram (next to the stage's OBS_SPAN, which only records while
+/// tracing is on).
+class StageTimer {
+ public:
+  explicit StageTimer(obs::Histogram& hist)
+      : hist_(hist), t0_(std::chrono::steady_clock::now()) {}
+  ~StageTimer() {
+    hist_.Observe(std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0_)
+                      .count());
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  obs::Histogram& hist_;
+  std::chrono::steady_clock::time_point t0_;
+};
+
+}  // namespace
 
 MobiRescueDispatcher::MobiRescueDispatcher(
     const roadnet::City& city, const predict::SvmRequestPredictor& predictor,
@@ -194,22 +220,34 @@ void MobiRescueDispatcher::DecideByAssignment(
   cap.team_begin.resize(cap.rows.size());
   cap.cand_row.assign(cap.rows.size(), std::vector<std::size_t>(
                                            round.candidates.size(), SIZE_MAX));
-  for (std::size_t r = 0; r < cap.rows.size(); ++r) {
-    const sim::TeamView& team = context.teams[cap.rows[r]];
-    cap.team_begin[r] = cap.feature_rows.size();
-    cap.feature_rows.push_back(featurizer_.Features(
-        round, team, round.candidates.size(), &context.teams));
-    for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-      if (!round.trees[i]->Reachable(team.at)) continue;
-      cap.cand_row[r][i] = cap.feature_rows.size();
-      cap.feature_rows.push_back(
-          featurizer_.Features(round, team, i, &context.teams));
+  {
+    OBS_SPAN("dispatch.featurise");
+    StageTimer timer(featurise_ms_);
+    for (std::size_t r = 0; r < cap.rows.size(); ++r) {
+      const sim::TeamView& team = context.teams[cap.rows[r]];
+      cap.team_begin[r] = cap.feature_rows.size();
+      cap.feature_rows.push_back(featurizer_.Features(
+          round, team, round.candidates.size(), &context.teams));
+      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
+        if (!round.trees[i]->Reachable(team.at)) continue;
+        cap.cand_row[r][i] = cap.feature_rows.size();
+        cap.feature_rows.push_back(
+            featurizer_.Features(round, team, i, &context.teams));
+      }
     }
   }
   cap.candidates = round.candidates;
   cap.prior_weight = config_.prior_weight;
-  cap.live_q = agent_->QValues(cap.feature_rows);
-  cap.live_actions = AssignByMargin(cap, cap.live_q);
+  {
+    OBS_SPAN("rl.qpass");
+    StageTimer timer(qpass_ms_);
+    cap.live_q = agent_->QValues(cap.feature_rows);
+  }
+  {
+    OBS_SPAN("opt.assign");
+    StageTimer timer(assign_ms_);
+    cap.live_actions = AssignByMargin(cap, cap.live_q);
+  }
   for (std::size_t r = 0; r < cap.rows.size(); ++r) {
     decision.actions[cap.rows[r]] = cap.live_actions[r];
   }
@@ -249,8 +287,13 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     pending_segments.push_back(r.segment);
   }
 
-  RoundData round =
-      featurizer_.PrepareRound(demand, *context.condition, pending_segments);
+  RoundData round;
+  {
+    OBS_SPAN("dispatch.prep");
+    StageTimer timer(prep_ms_);
+    round = featurizer_.PrepareRound(std::move(demand), *context.condition,
+                                     pending_segments);
+  }
 
   sim::DispatchDecision decision;
   decision.compute_latency_s = config_.compute_latency_s;

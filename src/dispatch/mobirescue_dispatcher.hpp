@@ -185,6 +185,22 @@ class MobiRescueDispatcher : public sim::Dispatcher {
       "dispatch_prediction_failures_total",
       "SVM prediction refreshes that threw; the last-known distribution "
       "was kept."};
+  // Decide-stage latency, one sample per stage run (DESIGN.md §12.1); each
+  // stage also opens the OBS_SPAN of the same dotted name.
+  obs::Histogram prep_ms_{"dispatch_prep_ms",
+                          "Round prep: candidate ranking and reverse "
+                          "shortest-path trees (ms).",
+                          obs::Histogram::LatencyBucketsMs()};
+  obs::Histogram featurise_ms_{"dispatch_featurise_ms",
+                               "Feature rows of one assignment round (ms).",
+                               obs::Histogram::LatencyBucketsMs()};
+  obs::Histogram qpass_ms_{"rl_qpass_ms",
+                           "The round's one batched Q-network pass (ms).",
+                           obs::Histogram::LatencyBucketsMs()};
+  obs::Histogram assign_ms_{"opt_assign_ms",
+                            "Margins and the Hungarian solve of one "
+                            "assignment round (ms).",
+                            obs::Histogram::LatencyBucketsMs()};
 
   std::vector<OpenTransition> pending_;  // training only; per team
   double last_loss_ = 0.0;

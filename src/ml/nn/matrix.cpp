@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/simd.hpp"
+
 namespace mobirescue::ml {
 
 namespace {
@@ -18,6 +20,10 @@ constexpr std::size_t kBlockJ = 256;
 /// loaded brow vector feeds four output rows, quartering the B-tile
 /// traffic. Every c element still accumulates its k terms in ascending
 /// order, so the register blocking is bit-exact against the plain loop.
+/// Runtime-dispatched to a 4-wide AVX2 body where available: lanes are
+/// independent c elements and no FMA is enabled, so both clones give the
+/// same bits (util/simd.hpp).
+MR_TARGET_CLONES
 void GemmTile(const double* __restrict a, const double* __restrict b,
               double* __restrict c, std::size_t m, std::size_t k,
               std::size_t n, std::size_t k0, std::size_t k1, std::size_t j0,
@@ -76,6 +82,8 @@ void GemmAccumulate(const double* __restrict a, const double* __restrict b,
 /// c (ca x n) += a^T * b where a is (r x ca) and b is (r x n), row-major.
 /// The transposed operand is walked row by row (contiguous) and scattered
 /// into c with a contiguous j inner loop — no strided column reads.
+/// AVX2-cloned like GemmTile, with the same bit-exactness argument.
+MR_TARGET_CLONES
 void GemmTransAAccumulate(const double* __restrict a,
                           const double* __restrict b, double* __restrict c,
                           std::size_t r, std::size_t ca, std::size_t n) {

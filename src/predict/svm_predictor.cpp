@@ -238,8 +238,7 @@ Distribution SvmRequestPredictor::PredictDistribution(
 
   // A positive counts on its caller-matched segment when it has one. A
   // bounded match that found a segment is the unbounded nearest one, so
-  // only the rest go through one batched, unbounded NearestSegments call
-  // (id-for-id equal to the scalar NearestSegment).
+  // only the rest go through one batched, unbounded NearestSegments call.
   auto matched = [&](std::size_t i) {
     return segments.empty() ? roadnet::kInvalidSegment : segments[i];
   };

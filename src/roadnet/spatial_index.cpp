@@ -21,12 +21,13 @@ constexpr double kBoundSafety = 0.995;
 /// Fills q[0..n) with the squared planar point-to-segment distance for one
 /// SoA candidate block — the op-for-op body of util::PointToSegmentMeters
 /// with the (a, b)-only subexpressions precomputed per segment; see the
-/// build-time comment for why the bits match the scalar function. The
+/// build-time comment for why the bits match that function. The
 /// degenerate-segment branch is a branchless select so the loop
 /// vectorizes: the division result for len2 == 0 lanes is discarded
-/// (t = 0, the scalar value) before it touches anything. Runtime-dispatched
-/// to an AVX2 body where available; every op is correctly rounded per
-/// lane, so both clones produce identical bits (util/simd.hpp).
+/// (t = 0, as in PointToSegmentMeters) before it touches anything.
+/// Runtime-dispatched to an AVX2 body where available; every op is
+/// correctly rounded per lane, so both clones produce identical bits
+/// (util/simd.hpp).
 MR_TARGET_CLONES
 void ScanBlock(double p_lat, double p_lon, const double* a_lat,
                const double* a_lon, const double* cos_lat, const double* bx,
@@ -56,25 +57,20 @@ SpatialIndex::SpatialIndex(const RoadNetwork& net,
   cell_w_m_ = box.WidthMeters() / cells_;
   cell_h_m_ = box.HeightMeters() / cells_;
   min_cell_m_ = std::min(cell_w_m_, cell_h_m_);
-  grid_.resize(static_cast<std::size_t>(cells_) * cells_);
   seg_cell_.resize(net.num_segments());
+  cell_begin_.assign(static_cast<std::size_t>(cells_) * cells_ + 1, 0);
   max_half_len_m_ = 0.0;
   for (const RoadSegment& s : net.segments()) {
-    const util::GeoPoint mid = net.SegmentMidpoint(s.id);
-    const int cx = CellX(mid.lon);
-    const int cy = CellY(mid.lat);
-    const std::size_t cell = static_cast<std::size_t>(cy) * cells_ + cx;
-    grid_[cell].push_back(s.id);
-    seg_cell_[s.id] = cell;
+    seg_cell_[s.id] = CellOf(net.SegmentMidpoint(s.id));
+    ++cell_begin_[seg_cell_[s.id] + 1];
     max_half_len_m_ = std::max(max_half_len_m_, s.length_m / 2.0);
   }
-
-  // SoA candidate blocks in cell order; within a cell, bucket order — the
-  // scalar path's candidate order exactly.
-  cell_begin_.assign(grid_.size() + 1, 0);
-  for (std::size_t c = 0; c < grid_.size(); ++c) {
-    cell_begin_[c + 1] = cell_begin_[c] + grid_[c].size();
+  for (std::size_t c = 1; c < cell_begin_.size(); ++c) {
+    cell_begin_[c] += cell_begin_[c - 1];
   }
+
+  // SoA candidate blocks in cell order; a stable scatter keeps ascending
+  // segment id within each cell.
   const std::size_t total = cell_begin_.back();
   soa_sid_.resize(total);
   soa_a_lat_.resize(total);
@@ -83,27 +79,24 @@ SpatialIndex::SpatialIndex(const RoadNetwork& net,
   soa_bx_.resize(total);
   soa_by_.resize(total);
   soa_len2_.resize(total);
-  for (std::size_t c = 0; c < grid_.size(); ++c) {
-    std::size_t w = cell_begin_[c];
-    for (SegmentId sid : grid_[c]) {
-      const RoadSegment& s = net.segment(sid);
-      const util::GeoPoint a = net.landmark(s.from).pos;
-      const util::GeoPoint b = net.landmark(s.to).pos;
-      // Precompute exactly the subexpressions PointToSegmentMeters derives
-      // from (a, b) alone; identical inputs and operations give identical
-      // bits, which the bitwise parity tests rely on.
-      const double cos_lat = std::cos(util::DegToRad(a.lat));
-      const double bx = util::DegToRad(b.lon - a.lon) * cos_lat;
-      const double by = util::DegToRad(b.lat - a.lat);
-      soa_sid_[w] = sid;
-      soa_a_lat_[w] = a.lat;
-      soa_a_lon_[w] = a.lon;
-      soa_cos_lat_[w] = cos_lat;
-      soa_bx_[w] = bx;
-      soa_by_[w] = by;
-      soa_len2_[w] = bx * bx + by * by;
-      ++w;
-    }
+  std::vector<std::size_t> next(cell_begin_.begin(), cell_begin_.end() - 1);
+  for (const RoadSegment& s : net.segments()) {
+    const std::size_t w = next[seg_cell_[s.id]]++;
+    const util::GeoPoint a = net.landmark(s.from).pos;
+    const util::GeoPoint b = net.landmark(s.to).pos;
+    // Precompute exactly the subexpressions PointToSegmentMeters derives
+    // from (a, b) alone; identical inputs and operations give identical
+    // bits, which the bitwise parity tests rely on.
+    const double cos_lat = std::cos(util::DegToRad(a.lat));
+    const double bx = util::DegToRad(b.lon - a.lon) * cos_lat;
+    const double by = util::DegToRad(b.lat - a.lat);
+    soa_sid_[w] = s.id;
+    soa_a_lat_[w] = a.lat;
+    soa_a_lon_[w] = a.lon;
+    soa_cos_lat_[w] = cos_lat;
+    soa_bx_[w] = bx;
+    soa_by_[w] = by;
+    soa_len2_[w] = bx * bx + by * by;
   }
 }
 
@@ -115,10 +108,6 @@ int SpatialIndex::CellX(double lon) const {
 int SpatialIndex::CellY(double lat) const {
   const int c = static_cast<int>((lat - box_.south_west.lat) / cell_h_deg_);
   return std::clamp(c, 0, cells_ - 1);
-}
-
-const std::vector<SegmentId>& SpatialIndex::Cell(int cx, int cy) const {
-  return grid_[static_cast<std::size_t>(cy) * cells_ + cx];
 }
 
 std::size_t SpatialIndex::CellOf(const util::GeoPoint& p) const {
@@ -158,58 +147,7 @@ double SpatialIndex::RingLowerBound(int ring, double out2_m) const {
 
 SegmentId SpatialIndex::NearestSegment(const util::GeoPoint& p,
                                        double max_radius_m) const {
-  if (net_.num_segments() == 0) return kInvalidSegment;
-  const int cx = CellX(p.lon);
-  const int cy = CellY(p.lat);
-  const double out2_m = OutOfBoxDistSq(p);
-
-  SegmentId best = kInvalidSegment;
-  double best_d = std::numeric_limits<double>::infinity();
-
-  auto consider_cell = [&](int x, int y) {
-    if (x < 0 || y < 0 || x >= cells_ || y >= cells_) return;
-    for (SegmentId sid : Cell(x, y)) {
-      const RoadSegment& s = net_.segment(sid);
-      const double d = util::PointToSegmentMeters(
-          p, net_.landmark(s.from).pos, net_.landmark(s.to).pos);
-      if (d < best_d) {
-        best_d = d;
-        best = sid;
-      }
-    }
-  };
-
-  for (int ring = 0; ring < cells_; ++ring) {
-    if (ring == 0) {
-      consider_cell(cx, cy);
-    } else {
-      for (int x = cx - ring; x <= cx + ring; ++x) {
-        consider_cell(x, cy - ring);
-        consider_cell(x, cy + ring);
-      }
-      for (int y = cy - ring + 1; y <= cy + ring - 1; ++y) {
-        consider_cell(cx - ring, y);
-        consider_cell(cx + ring, y);
-      }
-    }
-    // Stop once no *unscanned* ring (ring+1 outward) can beat the current
-    // best: the next ring's lower bound is the binding one.
-    const double next_lower_bound = RingLowerBound(ring + 1, out2_m);
-    if (best != kInvalidSegment && best_d < next_lower_bound) {
-      break;
-    }
-    // Bounded search: nothing within the radius can live farther out.
-    if (max_radius_m > 0.0 && best == kInvalidSegment &&
-        next_lower_bound > max_radius_m) {
-      break;
-    }
-  }
-  if (max_radius_m > 0.0 && best_d > max_radius_m) return kInvalidSegment;
-  return best;
-}
-
-SegmentId SpatialIndex::NearestSegmentSoA(const util::GeoPoint& p,
-                                          double max_radius_m) const {
+  if (soa_sid_.empty()) return kInvalidSegment;
   const int cx = CellX(p.lon);
   const int cy = CellY(p.lat);
   const double out2_m = OutOfBoxDistSq(p);
@@ -220,8 +158,8 @@ SegmentId SpatialIndex::NearestSegmentSoA(const util::GeoPoint& p,
   // current best: a strictly cheaper first-stage filter. q is monotone in d
   // (correctly-rounded sqrt and a positive scale preserve order), so
   // q >= best_q implies d >= best_d and the candidate can be skipped
-  // without the sqrt; q < best_q falls through to the exact scalar rule
-  // (strict d <) so rounding ties resolve identically to NearestSegment.
+  // without the sqrt; q < best_q falls through to the exact rule on the
+  // PointToSegmentMeters distance (strict d <, first visited wins).
   double best_q = std::numeric_limits<double>::infinity();
 
   // Distance buffer for one cell's candidate block, evaluated in a tight
@@ -229,11 +167,10 @@ SegmentId SpatialIndex::NearestSegmentSoA(const util::GeoPoint& p,
   constexpr std::size_t kChunk = 256;
   double q[kChunk];
 
-  // Scans the contiguous SoA candidate range [b, e) of one cell. Candidate
-  // visit order must stay cell-by-cell in the scalar path's exact ring
-  // walk: exact-tie candidates (e.g. a query sitting on a landmark shared
-  // by several segments) must resolve to the same first-visited segment on
-  // both paths.
+  // Scans the contiguous SoA candidate range [b, e) of one cell. Candidates
+  // are visited cell by cell in ring order and by ascending id within a
+  // cell: exact-tie candidates (e.g. a query sitting on a landmark shared
+  // by several segments) resolve to the first one visited.
   auto scan_range = [&](std::size_t b, const std::size_t e) {
     while (b < e) {
       const std::size_t n = std::min(e - b, kChunk);
@@ -246,7 +183,7 @@ SegmentId SpatialIndex::NearestSegmentSoA(const util::GeoPoint& p,
       // identical, and after ring 0 seeds a best, most cells skip here.
       // Four accumulators break the serial min dependency chain; NaN q
       // lanes never pass a `<` so they are excluded by both this prepass
-      // and the scalar loop alike.
+      // and the argmin loop alike.
       double m0 = std::numeric_limits<double>::infinity();
       double m1 = m0, m2 = m0, m3 = m0;
       std::size_t j = 0;
@@ -306,7 +243,8 @@ SegmentId SpatialIndex::NearestSegmentSoA(const util::GeoPoint& p,
         if (best_d < kBoundSafety * edge_m - max_half_len_m_) break;
       }
     } else {
-      // Same interleaved cell order as the scalar path's ring walk.
+      // Ring cells in a fixed interleaved order: bottom and top rows
+      // column by column, then the left and right columns row by row.
       for (int x = cx - ring; x <= cx + ring; ++x) {
         consider_cell(x, cy - ring);
         consider_cell(x, cy + ring);
@@ -331,12 +269,8 @@ SegmentId SpatialIndex::NearestSegmentSoA(const util::GeoPoint& p,
 
 void SpatialIndex::NearestSegments(const util::GeoPoint* pts, std::size_t n,
                                    double max_radius_m, SegmentId* out) const {
-  if (net_.num_segments() == 0) {
-    std::fill(out, out + n, kInvalidSegment);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = NearestSegmentSoA(pts[i], max_radius_m);
+    out[i] = NearestSegment(pts[i], max_radius_m);
   }
 }
 
@@ -355,7 +289,9 @@ std::vector<SegmentId> SpatialIndex::SegmentsNear(const util::GeoPoint& p,
   for (int y = cy - rings; y <= cy + rings; ++y) {
     for (int x = cx - rings; x <= cx + rings; ++x) {
       if (x < 0 || y < 0 || x >= cells_ || y >= cells_) continue;
-      for (SegmentId sid : Cell(x, y)) {
+      const std::size_t cell = static_cast<std::size_t>(y) * cells_ + x;
+      for (std::size_t w = cell_begin_[cell]; w < cell_begin_[cell + 1]; ++w) {
+        const SegmentId sid = soa_sid_[w];
         const util::GeoPoint mid = net_.SegmentMidpoint(sid);
         if (util::ApproxDistanceMeters(p, mid) <= radius_m) {
           out.push_back(sid);

@@ -11,17 +11,14 @@
 namespace mobirescue::roadnet {
 
 /// Buckets segment midpoints into a lat/lon grid. Nearest-segment queries
-/// search outward ring-by-ring from the query cell, then refine candidates
-/// by exact point-to-segment distance.
-///
-/// Two query paths share the same ring traversal and candidate order:
-///   - NearestSegment: the scalar reference — one PointToSegmentMeters call
-///     per candidate, chasing segment/landmark pointers;
-///   - NearestSegments: the batched path — per-cell SoA arrays of segment
-///     endpoint constants (projection frame precomputed at build time), so
-///     the candidate scan is a contiguous, auto-vectorizable FP loop the way
-///     the GEMM kernels batched the MLP (src/ml). Results are identical per
-///     query (spatial_index_test proves id-for-id equality).
+/// search outward ring-by-ring from the query cell and stop once no
+/// unscanned ring can hold a nearer segment. Each cell keeps its segments
+/// as one contiguous SoA block of endpoint constants (the projection frame
+/// of util::PointToSegmentMeters precomputed at build time), so the
+/// candidate scan is a vectorised FP loop the way the GEMM kernels batch
+/// the MLP (src/ml). Every distance equals PointToSegmentMeters bit for
+/// bit, and the nearest is the first strictly-nearer candidate in ring
+/// order (spatial_index_test checks it against an unpruned walk).
 class SpatialIndex {
  public:
   /// Builds an index over all segments of `net`, covering `box`. The grid is
@@ -36,11 +33,9 @@ class SpatialIndex {
   SegmentId NearestSegment(const util::GeoPoint& p,
                            double max_radius_m = -1.0) const;
 
-  /// Batched nearest-segment: out[i] equals NearestSegment(pts[i],
-  /// max_radius_m) for every i. The SoA candidate scan makes this the
-  /// per-record map-matching hot path at scale; grouping queries by cell
-  /// (see serve::StreamState) keeps each cell's candidate block hot in
-  /// cache across consecutive queries.
+  /// out[i] = NearestSegment(pts[i], max_radius_m) for every i. Callers
+  /// that group queries by cell (see serve::StreamState) keep each cell's
+  /// candidate block hot in cache across consecutive queries.
   void NearestSegments(const util::GeoPoint* pts, std::size_t n,
                        double max_radius_m, SegmentId* out) const;
 
@@ -49,17 +44,17 @@ class SpatialIndex {
                                       double radius_m) const;
 
   int cells_per_side() const { return cells_; }
-  std::size_t num_cells() const { return grid_.size(); }
+  std::size_t num_cells() const { return cell_begin_.size() - 1; }
   /// Row-major grid cell containing `p` (clamped into the box). The region
   /// sharding of serve::StreamState keys its geographic partition off this.
   std::size_t CellOf(const util::GeoPoint& p) const;
-  /// The cell a segment is bucketed in (by midpoint).
+  /// The cell a segment is bucketed in (by midpoint). Within a cell,
+  /// segments sit in ascending id order.
   std::size_t CellOfSegment(SegmentId sid) const { return seg_cell_[sid]; }
 
  private:
   int CellX(double lon) const;
   int CellY(double lat) const;
-  const std::vector<SegmentId>& Cell(int cx, int cy) const;
 
   /// Squared distance (metres²) from `p` to the box along each axis, using
   /// the same per-degree scale as the cell dimensions; 0 inside the box.
@@ -73,12 +68,6 @@ class SpatialIndex {
   /// stop before the true nearest segment — the pre-fix bug).
   double RingLowerBound(int ring, double out2_m) const;
 
-  /// One batched query over the SoA layout; result-identical to the scalar
-  /// NearestSegment (same traversal, same candidate order, same strict-<
-  /// first-wins selection).
-  SegmentId NearestSegmentSoA(const util::GeoPoint& p,
-                              double max_radius_m) const;
-
   const RoadNetwork& net_;
   util::BoundingBox box_;
   int cells_;
@@ -88,16 +77,14 @@ class SpatialIndex {
   /// Half the longest segment: bounds how far a segment's nearest point can
   /// be from its (bucketed) midpoint.
   double max_half_len_m_ = 0.0;
-  std::vector<std::vector<SegmentId>> grid_;
   std::vector<std::size_t> seg_cell_;
 
-  // SoA candidate blocks, one contiguous run per cell (CSR layout; the
-  // in-cell order equals grid_'s bucket order so both query paths see the
-  // same candidate sequence). Per candidate the local projection frame of
-  // util::PointToSegmentMeters is precomputed: the frame origin (a.lat,
-  // a.lon), cos of the frame latitude, the segment vector (bx, by) and its
-  // squared length — every value bit-identical to what the scalar path
-  // recomputes per call, so batched distances match bitwise.
+  // SoA candidate blocks, one contiguous run per cell (CSR layout), in
+  // ascending segment id within a cell. Per candidate the local projection
+  // frame of util::PointToSegmentMeters is precomputed: the frame origin
+  // (a.lat, a.lon), cos of the frame latitude, the segment vector (bx, by)
+  // and its squared length — every value bit-identical to what that
+  // function computes per call, so the scanned distances match bitwise.
   std::vector<std::size_t> cell_begin_;  // num_cells + 1 offsets into soa_*
   std::vector<SegmentId> soa_sid_;
   std::vector<double> soa_a_lat_, soa_a_lon_, soa_cos_lat_;

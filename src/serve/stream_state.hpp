@@ -26,12 +26,13 @@
 // into `shards` contiguous rectangular bands; each batch is (a) validated
 // and applied to the latest-position map sequentially in drain order —
 // byte-identical to the single path — then (b) bucketed by the *record
-// position's* tile, cell-sorted and batch-matched per tile (the SoA
-// nearest-segment scan), then (c) every matched record is handed to the
-// tile that *owns its matched segment* (by midpoint), whose private
-// FlowRateAnalyzer ingests it. Segment ownership makes the per-shard flow
-// cells disjoint, so phases (b) and (c) parallelise without locks
-// (config.shard_workers) and a merged counts mirror stays exact. Matching
+// position's* tile, cell-sorted and matched per tile (the nearest-segment
+// query the single path runs per record, now over cell-grouped input), then
+// (c) every matched record is handed to the tile that *owns its matched
+// segment* (by midpoint), whose private FlowRateAnalyzer ingests it.
+// Segment ownership makes the per-shard flow cells disjoint, so phases (b)
+// and (c) parallelise without locks (config.shard_workers) and a merged
+// counts mirror stays exact. Matching
 // is per-record independent and flow dedup is order-independent, so the
 // sharded path's snapshot, counters, and exported flow state are
 // bit-identical to the single-state path (region_shard_test proves it).
@@ -71,8 +72,9 @@ struct StreamStateConfig {
   /// DispatchService fills it in with the city's bounding box.
   std::optional<util::BoundingBox> accept_box;
   /// Geographic shards for ApplyBatch (1 = the classic single-state path).
-  /// Results are bit-identical for every value; > 1 turns matching and
-  /// flow ingest into cell-grouped batched scans.
+  /// Results are bit-identical for every value; > 1 groups each batch's
+  /// matching by grid cell and splits flow ingest by segment owner. Both
+  /// paths run the same nearest-segment query.
   int shards = 1;
   /// Threads for the sharded match/ingest phases. 0 runs them inline on
   /// the caller (the right default on small machines); results are

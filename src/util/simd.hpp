@@ -1,6 +1,7 @@
 #pragma once
 
-// MR_TARGET_CLONES: per-function runtime SIMD dispatch for hot SoA kernels.
+// MR_TARGET_CLONES: per-function runtime SIMD dispatch for hot kernels (the
+// SpatialIndex candidate scan and the GEMM tiles of ml::Matrix).
 //
 // On x86-64 ELF with GCC, the annotated function is compiled twice — a
 // baseline SSE2 body and an AVX2 body — and the dynamic loader picks one
@@ -11,9 +12,9 @@
 // FMA. Every operation the kernels use (mul, add, sub, div, sqrt, min,
 // max, compare/blend) is IEEE-754 correctly rounded per lane, so the AVX2
 // body produces bit-identical results to the baseline body — widening the
-// vectors never changes the answer, and the scalar-parity contracts in
-// DESIGN.md §17.2 hold under either clone. Enabling FMA would break this
-// (contraction skips the intermediate rounding); do not add it.
+// vectors never changes the answer, and the bit-identity contracts in
+// DESIGN.md §10.1 and §17.2 hold under either clone. Enabling FMA would
+// break this (contraction skips the intermediate rounding); do not add it.
 //
 // ThreadSanitizer builds get the default body only: the ifunc resolver
 // runs during relocation, before the TSan runtime is up, and crashes the

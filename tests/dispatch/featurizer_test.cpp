@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace mobirescue::dispatch {
 namespace {
 
@@ -124,6 +131,76 @@ TEST_F(FeaturizerTest, TeamActionSetNearestPlusDepot) {
   const double t0 = round.trees[set[0]]->time_s[team.at];
   const double t1 = round.trees[set[1]]->time_s[team.at];
   EXPECT_LE(t0, t1);
+}
+
+TEST_F(FeaturizerTest, PartialRankingMatchesFullSortReference) {
+  // PrepareRound ranks only the top_k it keeps. Against a full sort by
+  // count (descending), then segment id: count ties straddle the cut,
+  // pending segments stay out of the ranked part, top_k exceeds the ranked
+  // set, and the demand map and its total pass through unchanged.
+  util::Rng rng(29);
+  const std::size_t num_segments = city_.network.num_segments();
+  for (const int top_k : {0, 1, 5, 32, 1000}) {
+    FeaturizerConfig config;
+    config.top_k = top_k;
+    DispatchFeaturizer featurizer(city_, config);
+    predict::Distribution demand;
+    for (int i = 0; i < 80; ++i) {
+      // Counts -1..3: many ties, and non-positive counts to skip.
+      demand[static_cast<roadnet::SegmentId>(rng.Index(num_segments))] =
+          static_cast<int>(rng.Index(5)) - 1;
+    }
+    std::vector<roadnet::SegmentId> pending;
+    for (const auto& [seg, count] : demand) {
+      if (count == 3 && pending.size() < 4) pending.push_back(seg);
+    }
+    ASSERT_FALSE(pending.empty());
+    pending.push_back(pending.front());  // a repeated pending segment
+    pending.push_back(static_cast<roadnet::SegmentId>(num_segments - 1));
+
+    const std::unordered_set<roadnet::SegmentId> pending_set(pending.begin(),
+                                                             pending.end());
+    std::vector<std::pair<int, roadnet::SegmentId>> ranked;
+    double total = 0.0;
+    for (const auto& [seg, count] : demand) {
+      if (count <= 0) continue;
+      total += count;
+      if (pending_set.count(seg) == 0) ranked.emplace_back(count, seg);
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    const std::size_t k =
+        std::min(ranked.size(), static_cast<std::size_t>(top_k));
+    if (top_k == 1 || top_k == 5) {
+      ASSERT_GT(ranked.size(), k);
+      ASSERT_EQ(ranked[k - 1].first, ranked[k].first) << "no tie at the cut";
+    }
+    if (top_k == 1000) {
+      ASSERT_LT(ranked.size(), static_cast<std::size_t>(top_k));
+    }
+    std::vector<roadnet::SegmentId> want;
+    for (const roadnet::SegmentId seg : pending) {
+      if (std::find(want.begin(), want.end(), seg) == want.end()) {
+        want.push_back(seg);
+      }
+    }
+    for (std::size_t i = 0; i < k; ++i) want.push_back(ranked[i].second);
+
+    const RoundData round = featurizer.PrepareRound(demand, cond_, pending);
+    EXPECT_EQ(round.candidates, want) << "top_k " << top_k;
+    EXPECT_EQ(round.demand, demand);
+    EXPECT_EQ(round.total_demand, total);
+    EXPECT_EQ(round.trees.size(), want.size() + 1);
+    EXPECT_EQ(round.pending, pending_set);
+
+    // A moved-in map ranks the same.
+    predict::Distribution moved = demand;
+    const RoundData from_moved =
+        featurizer.PrepareRound(std::move(moved), cond_, pending);
+    EXPECT_EQ(from_moved.candidates, want);
+    EXPECT_EQ(from_moved.demand, demand);
+  }
 }
 
 TEST_F(FeaturizerTest, ClosedSegmentsStillCandidates) {

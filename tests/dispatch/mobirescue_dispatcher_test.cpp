@@ -4,9 +4,15 @@
 // exercising the prior-anchored policy deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/pipeline.hpp"
 #include "core/world.hpp"
 #include "dispatch/mobirescue_dispatcher.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/population_tracker.hpp"
 
 namespace mobirescue::dispatch {
@@ -249,6 +255,38 @@ TEST_F(MobiRescueDispatcherTest, DecisionsAreDeterministic) {
   for (std::size_t i = 0; i < a.actions.size(); ++i) {
     EXPECT_EQ(a.actions[i].kind, b.actions[i].kind);
     EXPECT_EQ(a.actions[i].target, b.actions[i].target);
+  }
+}
+
+TEST_F(MobiRescueDispatcherTest, DecideStagesHaveSpansAndHistograms) {
+  // Every evaluation-mode Decide that scores a round puts one sample into
+  // each decide stage's histogram and, while tracing is on, opens one span
+  // per stage.
+  auto dispatcher = MakeDispatcher();
+  auto ctx = Context(6);
+  ctx.pending.push_back({0, 3, 0.0});
+  const obs::SnapshotDelta delta;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  recorder.Enable();
+  for (int i = 0; i < 3; ++i) dispatcher.Decide(ctx);
+  recorder.Disable();
+  const std::vector<obs::TraceEvent> events = recorder.Collect();
+  recorder.Clear();
+  ASSERT_TRUE(dispatcher.last_capture().valid);
+
+  for (const char* name : {"dispatch_prep_ms", "dispatch_featurise_ms",
+                           "rl_qpass_ms", "opt_assign_ms"}) {
+    EXPECT_EQ(delta.Delta(name), 3.0) << name;
+  }
+  for (const char* name :
+       {"dispatch.prep", "dispatch.featurise", "rl.qpass", "opt.assign"}) {
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [name](const obs::TraceEvent& e) {
+                              return std::string(e.name) == name;
+                            }),
+              3)
+        << name;
   }
 }
 

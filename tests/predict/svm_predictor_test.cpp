@@ -84,9 +84,9 @@ TEST_F(SvmPredictorTest, DistributionCountsPeopleOnSegments) {
 
 TEST_F(SvmPredictorTest, DistributionMatchesPerPersonReference) {
   // The batched refresh (one DecisionValues pass, one NearestSegments call)
-  // must count exactly what per-person PredictPerson + scalar
-  // NearestSegment would, on snapshots of the evaluation trace before the
-  // storm and during it.
+  // must count exactly what per-person PredictPerson + NearestSegment
+  // would, on snapshots of the evaluation trace before the storm and
+  // during it.
   const auto& spec = world_->eval.spec;
   const mobility::GpsTrace& trace = world_->eval.trace.records;
   std::vector<mobility::GpsRecord> snapshot;

@@ -2,15 +2,16 @@
 // random road networks and random query points (inside the box, far outside
 // it, with and without radius limits, with long segments whose nearest point
 // is far from their bucketed midpoint), the grid-accelerated nearest-segment
-// answer must match brute force, and the batched SoA scan
-// (SpatialIndex::NearestSegments) must return the same segment id as the
-// scalar query for every point.
+// answer must match brute force, and single and batched queries
+// (SpatialIndex::NearestSegment / NearestSegments) must return the same
+// segment id as an unpruned scalar walk of the rings for every point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "../roadnet/ring_walk_reference.hpp"
 #include "roadnet/road_network.hpp"
 #include "roadnet/spatial_index.hpp"
 #include "util/geo.hpp"
@@ -24,10 +25,13 @@ struct RandomWorld {
   util::BoundingBox box;
 };
 
-/// A random network: mostly short segments, a few very long ones (their
-/// nearest point can be many cells from their midpoint — the max_half_len
-/// slack in the ring bound exists for exactly these).
-RandomWorld BuildRandomWorld(util::Rng& rng, int num_segments) {
+/// A random network: mostly short segments, a share `long_share` of very
+/// long ones (their nearest point can be many cells from their midpoint —
+/// the max_half_len slack in the ring bound exists for exactly these).
+/// Short segments reach up to `short_reach` of the box per axis.
+RandomWorld BuildRandomWorld(util::Rng& rng, int num_segments,
+                             double long_share = 0.1,
+                             double short_reach = 0.02) {
   RandomWorld w;
   // Random box shape: aspect ratios from tall-thin to wide-flat, so cells
   // are anisotropic more often than not.
@@ -38,8 +42,8 @@ RandomWorld BuildRandomWorld(util::Rng& rng, int num_segments) {
   for (int i = 0; i < num_segments; ++i) {
     const util::GeoPoint a =
         w.box.At(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0));
-    const bool long_segment = rng.Bernoulli(0.1);
-    const double reach = long_segment ? 0.5 : 0.02;
+    const bool long_segment = rng.Bernoulli(long_share);
+    const double reach = long_segment ? 0.5 : short_reach;
     const util::GeoPoint b = w.box.At(
         std::clamp(rng.Uniform(-reach, reach) +
                        (a.lon - w.box.south_west.lon) /
@@ -119,11 +123,30 @@ TEST(GeoPropertyTest, BatchedNearestMatchesScalarOnRandomWorlds) {
           w.box.At(rng.Uniform(-1.0, 2.0), rng.Uniform(-1.0, 2.0)));
     }
     const double radius = world % 2 == 0 ? -1.0 : rng.Uniform(100.0, 3000.0);
+    const RingWalkReference reference(w.net, index);
     std::vector<SegmentId> batch(pts.size(), kInvalidSegment);
     index.NearestSegments(pts.data(), pts.size(), radius, batch.data());
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      ASSERT_EQ(index.NearestSegment(pts[i], radius), batch[i])
+      const SegmentId want = reference.Nearest(pts[i], radius);
+      ASSERT_EQ(index.NearestSegment(pts[i], radius), want)
           << "world " << world << " query " << i;
+      ASSERT_EQ(batch[i], want) << "world " << world << " query " << i;
+    }
+  }
+  // Dense worlds of short segments only. A long segment's half length
+  // loosens every bound until it never prunes; here the ring bound and the
+  // own-cell edge bound end most scans early, so the unpruned walk checks
+  // that they are sound.
+  for (int world = 0; world < 6; ++world) {
+    RandomWorld w = BuildRandomWorld(rng, 2000, 0.0, 0.004);
+    SpatialIndex index(w.net, w.box, 8 + static_cast<int>(rng.Index(33)));
+    const RingWalkReference reference(w.net, index);
+    for (int q = 0; q < 300; ++q) {
+      const util::GeoPoint p =
+          w.box.At(rng.Uniform(-0.05, 1.05), rng.Uniform(-0.05, 1.05));
+      const double radius = q % 3 == 0 ? rng.Uniform(20.0, 500.0) : -1.0;
+      ASSERT_EQ(index.NearestSegment(p, radius), reference.Nearest(p, radius))
+          << "dense world " << world << " query " << q;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <vector>
 
+#include "ring_walk_reference.hpp"
 #include "roadnet/city_builder.hpp"
 #include "util/rng.hpp"
 
@@ -100,9 +101,10 @@ TEST_F(SpatialIndexTest, OutOfBoxQueriesMatchBruteForce) {
 }
 
 TEST_F(SpatialIndexTest, BatchedQueriesMatchScalarIdForId) {
-  // The SoA path must return the *same segment id* as the scalar reference
-  // for every query — not merely an equally-near one — including ties,
-  // out-of-box queries, and radius-limited misses.
+  // Single and batched queries must return the *same segment id* as the
+  // unpruned scalar ring walk for every query — not merely an equally-near
+  // one — including ties, out-of-box queries, and radius-limited misses.
+  const RingWalkReference reference(city_.network, *index_);
   util::Rng rng(17);
   for (const double radius : {-1.0, 250.0, 2000.0}) {
     std::vector<util::GeoPoint> pts;
@@ -113,8 +115,10 @@ TEST_F(SpatialIndexTest, BatchedQueriesMatchScalarIdForId) {
     std::vector<SegmentId> batch(pts.size(), kInvalidSegment);
     index_->NearestSegments(pts.data(), pts.size(), radius, batch.data());
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      ASSERT_EQ(index_->NearestSegment(pts[i], radius), batch[i])
+      const SegmentId want = reference.Nearest(pts[i], radius);
+      ASSERT_EQ(index_->NearestSegment(pts[i], radius), want)
           << "radius " << radius << " point " << i;
+      ASSERT_EQ(batch[i], want) << "radius " << radius << " point " << i;
     }
   }
 }
@@ -149,14 +153,15 @@ TEST_F(SpatialIndexTest, BoundedSearchFindsTheUnboundedNearestOrNothing) {
     }
     pts.push_back(p);
   }
+  const RingWalkReference reference(city_.network, *index_);
   std::vector<SegmentId> unbounded(pts.size()), bounded(pts.size());
   index_->NearestSegments(pts.data(), pts.size(), -1.0, unbounded.data());
   index_->NearestSegments(pts.data(), pts.size(), 400.0, bounded.data());
   std::size_t found = 0, missed = 0;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     ASSERT_NE(unbounded[i], kInvalidSegment) << "point " << i;
-    const SegmentId scalar = index_->NearestSegment(pts[i], 400.0);
-    ASSERT_EQ(scalar, bounded[i]) << "point " << i;
+    ASSERT_EQ(reference.Nearest(pts[i]), unbounded[i]) << "point " << i;
+    ASSERT_EQ(reference.Nearest(pts[i], 400.0), bounded[i]) << "point " << i;
     if (bounded[i] == kInvalidSegment) {
       ++missed;
     } else {
