@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -46,6 +47,15 @@ RoundData DispatchFeaturizer::PrepareRound(
                     });
   for (std::size_t i = 0; i < k; ++i) round.candidates.push_back(ranked[i].second);
 
+  round.candidate_demand.reserve(round.candidates.size());
+  round.candidate_pending.reserve(round.candidates.size());
+  for (roadnet::SegmentId seg : round.candidates) {
+    const auto it = round.demand.find(seg);
+    round.candidate_demand.push_back(it != round.demand.end() ? it->second
+                                                              : 0);
+    round.candidate_pending.push_back(round.pending.count(seg) != 0);
+  }
+
   round.trees.reserve(round.candidates.size() + 1);
   for (roadnet::SegmentId seg : round.candidates) {
     round.trees.push_back(
@@ -55,21 +65,16 @@ RoundData DispatchFeaturizer::PrepareRound(
   return round;
 }
 
-std::vector<double> DispatchFeaturizer::Features(
-    const RoundData& round, const sim::TeamView& team, std::size_t idx,
-    const std::vector<sim::TeamView>* all_teams) const {
-  std::vector<double> f(kFeatureDim, 0.0);
+void DispatchFeaturizer::Row(const RoundData& round, const sim::TeamView& team,
+                             std::size_t idx, std::size_t closer,
+                             std::size_t fleet, double* f) const {
   const bool depot = round.IsDepotAction(idx);
   const roadnet::ShortestPathTree& tree = *round.trees.at(idx);
-
-  double time_to = config_.time_norm_s * 3.0;  // unreachable sentinel
-  if (tree.Reachable(team.at)) time_to = tree.time_s[team.at];
-
-  double seg_demand = 0.0;
-  if (!depot) {
-    const auto it = round.demand.find(round.candidates[idx]);
-    if (it != round.demand.end()) seg_demand = it->second;
-  }
+  const bool reachable = tree.Reachable(team.at);
+  const double time_to =
+      reachable ? tree.time_s[team.at]
+                : config_.time_norm_s * 3.0;  // unreachable sentinel
+  const double seg_demand = depot ? 0.0 : round.candidate_demand[idx];
 
   f[0] = std::min(3.0, time_to / config_.time_norm_s);
   f[1] = std::min(3.0, seg_demand / config_.demand_norm);
@@ -84,16 +89,24 @@ std::vector<double> DispatchFeaturizer::Features(
   // Lets the policy learn to finish a leg instead of thrashing targets.
   f[7] = (!depot && team.target_segment == round.candidates[idx]) ? 1.0 : 0.0;
   f[8] = 1.0;  // bias
-  // Certain demand: an appeared request is waiting on this segment. Kept
-  // separate from f[1] so the policy can rank certain above speculative.
-  if (!depot && round.pending.count(round.candidates[idx]) != 0) {
-    f[10] = 1.0;
-  }
   // Competition: fraction of other available teams strictly closer to this
   // candidate. Without it the policy piles the whole fleet onto the top
-  // demand segment.
-  if (!depot && all_teams != nullptr && tree.Reachable(team.at)) {
-    int closer = 0;
+  // demand segment. (With no fleet given, closer is 0 and so is f[9].)
+  f[9] = !depot && reachable ? static_cast<double>(closer) /
+                                   std::max<std::size_t>(1, fleet)
+                             : 0.0;
+  // Certain demand: an appeared request is waiting on this segment. Kept
+  // separate from f[1] so the policy can rank certain above speculative.
+  f[10] = !depot && round.candidate_pending[idx] ? 1.0 : 0.0;
+}
+
+std::vector<double> DispatchFeaturizer::Features(
+    const RoundData& round, const sim::TeamView& team, std::size_t idx,
+    const std::vector<sim::TeamView>* all_teams) const {
+  const roadnet::ShortestPathTree& tree = *round.trees.at(idx);
+  std::size_t closer = 0;
+  if (!round.IsDepotAction(idx) && all_teams != nullptr &&
+      tree.Reachable(team.at)) {
     for (const sim::TeamView& other : *all_teams) {
       if (other.id == team.id) continue;
       if (other.mode == sim::TeamMode::kToHospital) continue;
@@ -102,10 +115,47 @@ std::vector<double> DispatchFeaturizer::Features(
         ++closer;
       }
     }
-    f[9] = static_cast<double>(closer) /
-           std::max<std::size_t>(1, all_teams->size());
   }
+  std::vector<double> f(kFeatureDim);
+  Row(round, team, idx, closer, all_teams != nullptr ? all_teams->size() : 0,
+      f.data());
   return f;
+}
+
+void DispatchFeaturizer::TimesToCandidates(
+    const RoundData& round, const std::vector<sim::TeamView>& teams,
+    CandidateTimes& times) const {
+  times.teams = teams.size();
+  times.time_s.resize(round.candidates.size() * teams.size());
+  double* out = times.time_s.data();
+  for (std::size_t i = 0; i < round.candidates.size(); ++i) {
+    const roadnet::ShortestPathTree& tree = *round.trees[i];
+    for (const sim::TeamView& team : teams) {
+      const bool competes = team.mode != sim::TeamMode::kToHospital &&
+                            tree.Reachable(team.at);
+      *out++ = competes ? tree.time_s[team.at]
+                        : std::numeric_limits<double>::infinity();
+    }
+  }
+}
+
+void DispatchFeaturizer::FeaturesInto(const RoundData& round,
+                                      const CandidateTimes& times,
+                                      const std::vector<sim::TeamView>& teams,
+                                      std::size_t k, std::size_t idx,
+                                      std::vector<double>& out) const {
+  const sim::TeamView& team = teams[k];
+  const roadnet::ShortestPathTree& tree = *round.trees.at(idx);
+  std::size_t closer = 0;
+  if (!round.IsDepotAction(idx) && tree.Reachable(team.at)) {
+    // The same count as Features' scan: the team's own entry equals its
+    // time (or is +inf), and a strict < never counts it.
+    const double own = tree.time_s[team.at];
+    const double* row = times.row(idx);
+    for (std::size_t j = 0; j < times.teams; ++j) closer += row[j] < own;
+  }
+  out.resize(kFeatureDim);
+  Row(round, team, idx, closer, teams.size(), out.data());
 }
 
 std::vector<std::size_t> DispatchFeaturizer::TeamActionSet(
@@ -127,13 +177,12 @@ std::vector<std::size_t> DispatchFeaturizer::TeamActionSet(
 }
 
 std::vector<std::vector<double>> DispatchFeaturizer::FeaturesFor(
-    const RoundData& round, const sim::TeamView& team,
-    const std::vector<std::size_t>& action_set,
-    const std::vector<sim::TeamView>* all_teams) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(action_set.size());
-  for (std::size_t idx : action_set) {
-    out.push_back(Features(round, team, idx, all_teams));
+    const RoundData& round, const CandidateTimes& times,
+    const std::vector<sim::TeamView>& teams, std::size_t k,
+    const std::vector<std::size_t>& action_set) const {
+  std::vector<std::vector<double>> out(action_set.size());
+  for (std::size_t a = 0; a < action_set.size(); ++a) {
+    FeaturesInto(round, times, teams, k, action_set[a], out[a]);
   }
   return out;
 }

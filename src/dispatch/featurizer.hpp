@@ -40,11 +40,30 @@ struct RoundData {
   std::vector<std::shared_ptr<const roadnet::ShortestPathTree>> trees;
   predict::Distribution demand;
   double total_demand = 0.0;
+  /// Per candidate, what its feature rows read: its count in `demand` (0
+  /// when absent) and whether it is in `pending`. Training's sequential
+  /// claim lowers candidate_demand (and total_demand), not `demand`.
+  std::vector<int> candidate_demand;
+  std::vector<char> candidate_pending;
 
   /// Action idx == candidates.size() is the depot; the others are the
   /// candidates.
   bool IsDepotAction(std::size_t idx) const {
     return idx == candidates.size();
+  }
+};
+
+/// Every team's travel time to each candidate of one round, one contiguous
+/// row per candidate: +inf where the team cannot reach the candidate or is
+/// carrying people to hospital (it does not compete for the candidate).
+/// The competition feature f[9] of a team is the count of its candidate
+/// row's entries strictly below its own time.
+struct CandidateTimes {
+  std::size_t teams = 0;
+  std::vector<double> time_s;  // candidates x teams, row-major
+
+  const double* row(std::size_t candidate) const {
+    return time_s.data() + candidate * teams;
   }
 };
 
@@ -65,22 +84,36 @@ class DispatchFeaturizer {
 
   /// Feature vector for (team, action `idx`); idx == candidates.size() is
   /// the depot action. `all_teams`, when provided, fills the competition
-  /// feature (fraction of other teams strictly closer to the candidate).
+  /// feature (fraction of other teams strictly closer to the candidate),
+  /// scanning every team: the reference the batch rows are tested against.
   std::vector<double> Features(const RoundData& round,
                                const sim::TeamView& team, std::size_t idx,
                                const std::vector<sim::TeamView>* all_teams =
                                    nullptr) const;
+
+  /// Fills `times` for `teams` from the round's trees, reusing its storage.
+  void TimesToCandidates(const RoundData& round,
+                         const std::vector<sim::TeamView>& teams,
+                         CandidateTimes& times) const;
+
+  /// Batch form of Features(round, teams[k], idx, &teams), bitwise equal:
+  /// f[9] is counted from `times` (filled for `teams`). Writes into `out`,
+  /// reusing its storage.
+  void FeaturesInto(const RoundData& round, const CandidateTimes& times,
+                    const std::vector<sim::TeamView>& teams, std::size_t k,
+                    std::size_t idx, std::vector<double>& out) const;
 
   /// The team's local action set: indices (into round action space) of the
   /// per_team_k nearest demand candidates, followed by the depot action.
   std::vector<std::size_t> TeamActionSet(const RoundData& round,
                                          const sim::TeamView& team) const;
 
-  /// Feature vectors for exactly the actions in `action_set`.
+  /// FeaturesInto rows of teams[k] for exactly the actions in
+  /// `action_set`.
   std::vector<std::vector<double>> FeaturesFor(
-      const RoundData& round, const sim::TeamView& team,
-      const std::vector<std::size_t>& action_set,
-      const std::vector<sim::TeamView>* all_teams = nullptr) const;
+      const RoundData& round, const CandidateTimes& times,
+      const std::vector<sim::TeamView>& teams, std::size_t k,
+      const std::vector<std::size_t>& action_set) const;
 
   static constexpr std::size_t kFeatureDim = 11;
 
@@ -91,6 +124,11 @@ class DispatchFeaturizer {
   const roadnet::Router& router() const { return router_; }
 
  private:
+  /// The one row formula behind Features and FeaturesInto: `closer` other
+  /// teams of a fleet of `fleet` are strictly closer to the candidate.
+  void Row(const RoundData& round, const sim::TeamView& team, std::size_t idx,
+           std::size_t closer, std::size_t fleet, double* f) const;
+
   const roadnet::City& city_;
   roadnet::Router router_;
   FeaturizerConfig config_;

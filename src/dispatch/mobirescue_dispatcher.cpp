@@ -104,6 +104,7 @@ std::vector<sim::TeamAction> AssignByMargin(const RoundCapture& round,
   problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
   // Row-major rows x columns, like problem.cost.
   std::vector<double> margin(problem.rows * problem.cols);
+  std::vector<double> by_candidate;
   for (std::size_t r = 0; r < problem.rows; ++r) {
     const std::size_t depot = round.team_begin[r];
     const double depot_score =
@@ -111,8 +112,8 @@ std::vector<sim::TeamAction> AssignByMargin(const RoundCapture& round,
             MobiRescueDispatcher::HeuristicPrior(round.feature_rows[depot]) +
         q[depot];
     // Score each distinct candidate once, then spread to its columns.
-    std::vector<double> by_candidate(round.candidates.size(),
-                                     -std::numeric_limits<double>::infinity());
+    by_candidate.assign(round.candidates.size(),
+                        -std::numeric_limits<double>::infinity());
     for (std::size_t i = 0; i < round.candidates.size(); ++i) {
       const std::size_t row = round.cand_row[r][i];
       if (row == SIZE_MAX) continue;
@@ -150,11 +151,14 @@ std::vector<sim::TeamAction> AssignByMargin(const RoundCapture& round,
 void MobiRescueDispatcher::DecideByAssignment(
     const sim::DispatchContext& context, const RoundData& round,
     sim::DispatchDecision& decision) {
-  // The round's scored action space is built straight into capture_. A
-  // round that ends on an early return was not scored — its capture stays
-  // invalid (the learner just accrues rewards on such rounds).
-  capture_ = RoundCapture{};
+  // The round's scored action space is built straight into capture_,
+  // reusing the previous round's storage. A round that ends on an early
+  // return was not scored — its capture stays invalid (the learner just
+  // accrues rewards on such rounds).
   RoundCapture& cap = capture_;
+  cap.valid = false;
+  cap.rows.clear();
+  cap.columns.clear();
 
   // Appeared requests are re-target opportunities for serving teams,
   // except segments some team is already heading to (they are covered).
@@ -207,34 +211,41 @@ void MobiRescueDispatcher::DecideByAssignment(
   // several teams can be sent to a deep cluster.
   for (std::size_t i = 0; i < round.candidates.size(); ++i) {
     int copies = 1;
-    const auto it = round.demand.find(round.candidates[i]);
-    if (it != round.demand.end() && it->second > 5) {
-      copies = std::min(3, (it->second + 4) / 5);
-    }
+    const int count = round.candidate_demand[i];
+    if (count > 5) copies = std::min(3, (count + 4) / 5);
     for (int c = 0; c < copies; ++c) cap.columns.push_back(i);
   }
 
   // All (team, action) feature rows of the round — each team's depot row
   // plus its reachable candidates — go through ONE batched Q-network pass;
   // entry order makes every row's Q bit-identical to a per-row evaluation.
+  // Rows are written over the previous round's, then the surplus dropped.
   cap.team_begin.resize(cap.rows.size());
-  cap.cand_row.assign(cap.rows.size(), std::vector<std::size_t>(
-                                           round.candidates.size(), SIZE_MAX));
+  cap.cand_row.resize(cap.rows.size());
   {
     OBS_SPAN("dispatch.featurise");
     StageTimer timer(featurise_ms_);
+    featurizer_.TimesToCandidates(round, context.teams, times_);
+    std::size_t n = 0;
+    auto next_row = [&cap, &n]() -> std::vector<double>& {
+      if (n == cap.feature_rows.size()) cap.feature_rows.emplace_back();
+      return cap.feature_rows[n++];
+    };
     for (std::size_t r = 0; r < cap.rows.size(); ++r) {
-      const sim::TeamView& team = context.teams[cap.rows[r]];
-      cap.team_begin[r] = cap.feature_rows.size();
-      cap.feature_rows.push_back(featurizer_.Features(
-          round, team, round.candidates.size(), &context.teams));
+      const std::size_t k = cap.rows[r];
+      const sim::TeamView& team = context.teams[k];
+      cap.team_begin[r] = n;
+      featurizer_.FeaturesInto(round, times_, context.teams, k,
+                               round.candidates.size(), next_row());
+      cap.cand_row[r].assign(round.candidates.size(), SIZE_MAX);
       for (std::size_t i = 0; i < round.candidates.size(); ++i) {
         if (!round.trees[i]->Reachable(team.at)) continue;
-        cap.cand_row[r][i] = cap.feature_rows.size();
-        cap.feature_rows.push_back(
-            featurizer_.Features(round, team, i, &context.teams));
+        cap.cand_row[r][i] = n;
+        featurizer_.FeaturesInto(round, times_, context.teams, k, i,
+                                 next_row());
       }
     }
+    cap.feature_rows.resize(n);
   }
   cap.candidates = round.candidates;
   cap.prior_weight = config_.prior_weight;
@@ -279,11 +290,12 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
   }
   // The dispatching centre also knows about already-appeared pending
   // requests; fold them into the demand map with a higher weight than the
-  // speculative SVM counts — an appeared request is certain demand.
-  predict::Distribution demand = cached_distribution_;
+  // speculative SVM counts — an appeared request is certain demand. The
+  // copy goes into demand_, whose nodes the last round handed back.
+  demand_ = cached_distribution_;
   std::vector<roadnet::SegmentId> pending_segments;
   for (const sim::RequestView& r : context.pending) {
-    demand[r.segment] += 4;
+    demand_[r.segment] += 4;
     pending_segments.push_back(r.segment);
   }
 
@@ -291,7 +303,7 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
   {
     OBS_SPAN("dispatch.prep");
     StageTimer timer(prep_ms_);
-    round = featurizer_.PrepareRound(std::move(demand), *context.condition,
+    round = featurizer_.PrepareRound(std::move(demand_), *context.condition,
                                      pending_segments);
   }
 
@@ -307,10 +319,18 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     // Serving/delivering teams keep their legs (with the pending-swing
     // exception).
     DecideByAssignment(context, round, decision);
-    return decision;
+  } else {
+    DecideTraining(context, round, decision);
   }
+  demand_ = std::move(round.demand);
+  return decision;
+}
 
+void MobiRescueDispatcher::DecideTraining(const sim::DispatchContext& context,
+                                          RoundData& round,
+                                          sim::DispatchDecision& decision) {
   AccrueRound(config_.reward, context, pending_);
+  featurizer_.TimesToCandidates(round, context.teams, times_);
   for (std::size_t k = 0; k < context.teams.size(); ++k) {
     const sim::TeamView& team = context.teams[k];
     sim::TeamAction& action = decision.actions[k];
@@ -327,7 +347,7 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     const std::vector<std::size_t> action_set =
         featurizer_.TeamActionSet(round, team);
     auto features =
-        featurizer_.FeaturesFor(round, team, action_set, &context.teams);
+        featurizer_.FeaturesFor(round, times_, context.teams, k, action_set);
 
     // The team is idle: its previous macro-transition (if any) is complete.
     if (pending_[k].valid) agent_->Push(pending_[k].Close(features));
@@ -365,15 +385,14 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
       action.kind = sim::ActionKind::kGoto;
       action.target = round.candidates[idx];
       // Sequential claiming: this team absorbs part of the candidate's
-      // demand, so later teams in the same round see the residual and
-      // spread instead of piling onto one segment.
-      auto it = round.demand.find(action.target);
-      if (it != round.demand.end()) {
-        const int claim = std::max(1, team.capacity - team.onboard);
-        const int absorbed = std::min(it->second, claim);
-        it->second -= absorbed;
-        round.total_demand = std::max(0.0, round.total_demand - absorbed);
-      }
+      // demand, so later teams in the same round see the residual (the
+      // count their rows read) and spread instead of piling onto one
+      // segment.
+      int& count = round.candidate_demand[idx];
+      const int claim = std::max(1, team.capacity - team.onboard);
+      const int absorbed = std::min(count, claim);
+      count -= absorbed;
+      round.total_demand = std::max(0.0, round.total_demand - absorbed);
     }
     pending_[k].Open(std::move(features[local_idx]), config_.reward, serving);
   }
@@ -427,8 +446,8 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
       if (!pending_[k].valid) continue;
       for (std::size_t i = 0; i < round.candidates.size(); ++i) {
         if (round.candidates[i] == decision.actions[k].target) {
-          pending_[k].features =
-              featurizer_.Features(round, context.teams[k], i, &context.teams);
+          featurizer_.FeaturesInto(round, times_, context.teams, k, i,
+                                   pending_[k].features);
           break;
         }
       }
@@ -438,7 +457,6 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
   for (int i = 0; i < config_.train_steps_per_round; ++i) {
     last_loss_ = agent_->TrainStep();
   }
-  return decision;
 }
 
 }  // namespace mobirescue::dispatch

@@ -73,7 +73,7 @@ void AccrueRound(const RewardWeights& reward,
 /// decides.
 struct RoundCapture {
   /// False when the round had no decidable teams or no candidates (nothing
-  /// was scored).
+  /// was scored); the other fields then hold leftovers and are not read.
   bool valid = false;
   /// All scored feature rows of the round: for each decidable team its
   /// depot row followed by one row per reachable candidate.
@@ -168,6 +168,10 @@ class MobiRescueDispatcher : public sim::Dispatcher {
   void DecideByAssignment(const sim::DispatchContext& context,
                           const RoundData& round,
                           sim::DispatchDecision& decision);
+  /// Training-time selection: per-team epsilon-greedy with sequential
+  /// demand claims, then a travel-time realisation pass.
+  void DecideTraining(const sim::DispatchContext& context, RoundData& round,
+                      sim::DispatchDecision& decision);
 
   const roadnet::City& city_;
   const predict::SvmRequestPredictor& predictor_;
@@ -180,6 +184,11 @@ class MobiRescueDispatcher : public sim::Dispatcher {
 
   predict::Distribution cached_distribution_;
   double cached_at_ = -1.0e18;
+  // Per-round buffers kept across rounds so their storage is reused: the
+  // round's demand map (copied from cached_distribution_, lent to the
+  // round, handed back) and the team-to-candidate travel times.
+  predict::Distribution demand_;
+  CandidateTimes times_;
   std::uint64_t prediction_failures_ = 0;
   obs::Counter prediction_failures_total_{
       "dispatch_prediction_failures_total",

@@ -24,14 +24,11 @@ std::vector<MatchedRecord> MapMatcher::MatchTrace(const GpsTrace& trace) const {
 std::size_t MapMatcher::MatchBatch(const GpsRecord* records, std::size_t n,
                                    roadnet::SegmentId* segments,
                                    std::vector<MatchedRecord>* out) const {
-  std::vector<util::GeoPoint> pts(n);
-  for (std::size_t i = 0; i < n; ++i) pts[i] = records[i].pos;
-  index_.NearestSegments(pts.data(), n, config_.max_match_distance_m,
-                         segments);
   std::size_t matched = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (segments[i] == roadnet::kInvalidSegment) continue;
     const GpsRecord& r = records[i];
+    segments[i] = index_.NearestSegment(r.pos, config_.max_match_distance_m);
+    if (segments[i] == roadnet::kInvalidSegment) continue;
     out->push_back({r.person, r.t, segments[i], r.speed_mps, r.pos});
     ++matched;
   }

@@ -47,13 +47,13 @@ class MapMatcher {
   /// Matches every record to its nearest segment.
   std::vector<MatchedRecord> MatchTrace(const GpsTrace& trace) const;
 
-  /// Matches `n` records with one SpatialIndex::NearestSegments call (the
-  /// same query MatchRecord runs per record): writes records[i]'s segment
-  /// to segments[i] (kInvalidSegment when unmatched), appends matched
-  /// records to `out` in input order and returns how many matched. The
-  /// region-sharded ingest path (serve/stream_state.cpp) sorts each batch
-  /// by grid cell first so consecutive queries hit the same candidate
-  /// block.
+  /// Matches `n` records with the SpatialIndex::NearestSegment query
+  /// MatchRecord runs, straight off each record's position (no copy):
+  /// writes records[i]'s segment to segments[i] (kInvalidSegment when
+  /// unmatched), appends matched records to `out` in input order and
+  /// returns how many matched. The region-sharded ingest path
+  /// (serve/stream_state.cpp) sorts each batch by grid cell first so
+  /// consecutive queries hit the same candidate block.
   std::size_t MatchBatch(const GpsRecord* records, std::size_t n,
                          roadnet::SegmentId* segments,
                          std::vector<MatchedRecord>* out) const;

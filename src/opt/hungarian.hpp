@@ -1,6 +1,7 @@
 // Exact minimum-cost assignment (Hungarian algorithm, Jonker-style potential
 // formulation, run over the rectangular problem directly: O(rows^2 * cols)
-// when rows <= cols, O(rows^3) otherwise).
+// when rows <= cols, O(rows^3) otherwise). Each augmenting step is one
+// fused pass over the columns, 4 lanes wide on AVX2 hosts (DESIGN.md §5).
 //
 // This is the integer-programming core of both baselines: `Schedule` [5] and
 // `Rescue` [8] assign rescue teams to (appeared / predicted) request
@@ -42,5 +43,21 @@ inline constexpr double kForbiddenCost = 1e9;
 /// Greedy row-by-row assignment (each row takes the cheapest remaining
 /// column). Used as an ablation against the exact solver.
 AssignmentResult SolveAssignmentGreedy(const AssignmentProblem& problem);
+
+namespace detail {
+
+/// The bodies of SolveAssignment's column pass: scalar (every host) and,
+/// where built, 4-wide AVX2. SolveAssignment runs the widest one the
+/// host supports; all give the same row_to_col and total_cost bits.
+enum class LaneBody { kDefault, kAvx2 };
+
+/// The bodies this host can run, kDefault first.
+std::vector<LaneBody> HostLaneBodies();
+
+/// SolveAssignment on one given body (for the parity tests).
+AssignmentResult SolveAssignment(const AssignmentProblem& problem,
+                                 LaneBody body);
+
+}  // namespace detail
 
 }  // namespace mobirescue::opt

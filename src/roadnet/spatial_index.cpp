@@ -274,32 +274,4 @@ void SpatialIndex::NearestSegments(const util::GeoPoint* pts, std::size_t n,
   }
 }
 
-std::vector<SegmentId> SpatialIndex::SegmentsNear(const util::GeoPoint& p,
-                                                  double radius_m) const {
-  std::vector<SegmentId> out;
-  // Ring reach must cover every midpoint within radius_m: ring r cells can
-  // hold midpoints as close as (r-1) * min(cell_w, cell_h), so scan until
-  // that exceeds the radius (the old cell-diagonal divisor undercounted
-  // rings for anisotropic cells and could miss in-radius midpoints).
-  const double reach =
-      min_cell_m_ > 0.0 ? radius_m / min_cell_m_ + 1.0 : cells_;
-  const int rings = static_cast<int>(std::min<double>(reach, cells_));
-  const int cx = CellX(p.lon);
-  const int cy = CellY(p.lat);
-  for (int y = cy - rings; y <= cy + rings; ++y) {
-    for (int x = cx - rings; x <= cx + rings; ++x) {
-      if (x < 0 || y < 0 || x >= cells_ || y >= cells_) continue;
-      const std::size_t cell = static_cast<std::size_t>(y) * cells_ + x;
-      for (std::size_t w = cell_begin_[cell]; w < cell_begin_[cell + 1]; ++w) {
-        const SegmentId sid = soa_sid_[w];
-        const util::GeoPoint mid = net_.SegmentMidpoint(sid);
-        if (util::ApproxDistanceMeters(p, mid) <= radius_m) {
-          out.push_back(sid);
-        }
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace mobirescue::roadnet

@@ -39,10 +39,6 @@ class SpatialIndex {
   void NearestSegments(const util::GeoPoint* pts, std::size_t n,
                        double max_radius_m, SegmentId* out) const;
 
-  /// All segments whose midpoint lies within `radius_m` of `p`.
-  std::vector<SegmentId> SegmentsNear(const util::GeoPoint& p,
-                                      double radius_m) const;
-
   int cells_per_side() const { return cells_; }
   std::size_t num_cells() const { return cell_begin_.size() - 1; }
   /// Row-major grid cell containing `p` (clamped into the box). The region

@@ -16,12 +16,22 @@
 // DESIGN.md §10.1 and §17.2 hold under either clone. Enabling FMA would
 // break this (contraction skips the intermediate rounding); do not add it.
 //
+// MR_AVX2_TARGET: for a kernel whose AVX2 body is a different body (a wider
+// lane type, not the same source recompiled), the attribute that compiles
+// that one function for AVX2 — again without FMA. The caller picks the body
+// at run time with __builtin_cpu_supports("avx2") and otherwise runs its
+// default body (the assignment solver's fused column pass, DESIGN.md §5).
+// It is undefined wherever MR_TARGET_CLONES is empty, and such builds
+// compile the AVX2 body out.
+//
 // ThreadSanitizer builds get the default body only: the ifunc resolver
 // runs during relocation, before the TSan runtime is up, and crashes the
-// process at startup.
+// process at startup. MR_AVX2_TARGET follows the same rule, so a TSan run
+// exercises the default bodies.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
     !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define MR_TARGET_CLONES __attribute__((target_clones("default", "avx2")))
+#define MR_AVX2_TARGET __attribute__((target("avx2")))
 #else
 #define MR_TARGET_CLONES
 #endif

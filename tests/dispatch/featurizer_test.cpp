@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -210,6 +212,154 @@ TEST_F(FeaturizerTest, ClosedSegmentsStillCandidates) {
   const RoundData round = featurizer.PrepareRound(demand, cond_);
   ASSERT_EQ(round.candidates.size(), 1u);
   EXPECT_EQ(round.candidates[0], 0);
+}
+
+// Bit patterns, so -0.0 and +0.0 differ and the comparison is bitwise.
+std::vector<std::uint64_t> Bits(const std::vector<double>& row) {
+  std::vector<std::uint64_t> bits;
+  for (double x : row) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+TEST_F(FeaturizerTest, BatchRowsEqualFeaturesBitwise) {
+  // FeaturesInto (the per-candidate tables) against Features (the scan of
+  // every team), over a fleet with teams carrying people to hospital,
+  // teams cut off from every candidate, a candidate that only the teams at
+  // its entry can reach, co-located teams (equal travel times), depot
+  // rows, pending candidates and, after a training-style claim, residual
+  // demand.
+  util::Rng rng(21);
+  predict::Distribution demand;
+  while (demand.size() < 14) {
+    demand[static_cast<roadnet::SegmentId>(
+        rng.Index(city_.network.num_segments()))] =
+        static_cast<int>(rng.UniformInt(1, 12));
+  }
+  std::vector<roadnet::SegmentId> pending;
+  for (const auto& [seg, count] : demand) {
+    if (pending.size() < 3) pending.push_back(seg);
+  }
+  pending.push_back(static_cast<roadnet::SegmentId>(
+      rng.Index(city_.network.num_segments())));  // may lie outside demand
+
+  // Cut off two landmarks that are no candidate's entry (every segment
+  // leaving them closed) and one candidate's entry (every segment into it).
+  std::unordered_set<roadnet::LandmarkId> entries;
+  for (const auto& [seg, count] : demand) {
+    entries.insert(city_.network.segment(seg).from);
+  }
+  for (roadnet::SegmentId seg : pending) {
+    entries.insert(city_.network.segment(seg).from);
+  }
+  std::vector<roadnet::LandmarkId> cut_off;
+  for (roadnet::LandmarkId lm = 0;
+       cut_off.size() < 2 &&
+       static_cast<std::size_t>(lm) < city_.network.num_landmarks();
+       ++lm) {
+    if (entries.count(lm) == 0 && lm != city_.depot) cut_off.push_back(lm);
+  }
+  ASSERT_EQ(cut_off.size(), 2u);
+  for (roadnet::LandmarkId lm : cut_off) {
+    for (roadnet::SegmentId seg : city_.network.OutSegments(lm)) {
+      cond_.Close(seg);
+    }
+  }
+  const roadnet::LandmarkId sealed = city_.network.segment(pending[0]).from;
+  for (roadnet::SegmentId seg = 0;
+       static_cast<std::size_t>(seg) < city_.network.num_segments(); ++seg) {
+    if (city_.network.segment(seg).to == sealed) cond_.Close(seg);
+  }
+
+  DispatchFeaturizer featurizer(city_, {});
+  RoundData round = featurizer.PrepareRound(demand, cond_, pending);
+  ASSERT_GE(round.candidates.size(), 14u);
+
+  std::vector<sim::TeamView> teams;
+  const sim::TeamMode modes[] = {sim::TeamMode::kIdle, sim::TeamMode::kToTarget,
+                                 sim::TeamMode::kToHospital,
+                                 sim::TeamMode::kToDepot};
+  for (int id = 0; id < 40; ++id) {
+    sim::TeamView t = TeamAt(static_cast<roadnet::LandmarkId>(
+        rng.Index(city_.network.num_landmarks())));
+    t.id = id;
+    // Three co-located groups of four, then four cut-off teams.
+    if (id < 12) t.at = city_.network.segment(round.candidates[id % 3]).from;
+    if (id >= 12 && id < 16) t.at = cut_off[id % 2];
+    t.mode = modes[id % 4];
+    t.onboard = static_cast<int>(rng.UniformInt(0, 5));
+    if (id % 5 == 0) {
+      t.target_segment = round.candidates[id % round.candidates.size()];
+    }
+    teams.push_back(t);
+  }
+
+  CandidateTimes times;
+  int unreachable = 0, ties = 0, counted = 0, hospital_closer = 0;
+  int pending_rows = 0, depot_rows = 0;
+  auto check_all = [&](const char* phase) {
+    featurizer.TimesToCandidates(round, teams, times);
+    std::vector<double> row;
+    for (std::size_t k = 0; k < teams.size(); ++k) {
+      for (std::size_t idx = 0; idx <= round.candidates.size(); ++idx) {
+        featurizer.FeaturesInto(round, times, teams, k, idx, row);
+        const std::vector<double> ref =
+            featurizer.Features(round, teams[k], idx, &teams);
+        ASSERT_EQ(Bits(row), Bits(ref))
+            << phase << " team " << k << " action " << idx;
+        if (round.IsDepotAction(idx)) {
+          ++depot_rows;
+          continue;
+        }
+        const roadnet::ShortestPathTree& tree = *round.trees[idx];
+        if (!tree.Reachable(teams[k].at)) {
+          ++unreachable;
+          continue;
+        }
+        pending_rows += ref[10] == 1.0;
+        counted += ref[9] > 0.0;
+        const double own = tree.time_s[teams[k].at];
+        for (std::size_t j = 0; j < teams.size(); ++j) {
+          const double other = tree.time_s[teams[j].at];
+          if (teams[j].mode == sim::TeamMode::kToHospital) {
+            hospital_closer += other < own;  // closer, but not competing
+          } else {
+            ties += j != k && other == own;
+          }
+        }
+      }
+      const std::vector<std::size_t> set =
+          featurizer.TeamActionSet(round, teams[k]);
+      const auto batch = featurizer.FeaturesFor(round, times, teams, k, set);
+      ASSERT_EQ(batch.size(), set.size());
+      for (std::size_t a = 0; a < set.size(); ++a) {
+        ASSERT_EQ(Bits(batch[a]),
+                  Bits(featurizer.Features(round, teams[k], set[a], &teams)))
+            << phase << " team " << k << " set entry " << a;
+      }
+    }
+  };
+  check_all("opening");
+
+  // Training's sequential claim lowers the count the rows read: candidate
+  // 0's rows must show the residual, in both forms.
+  const int opening = round.candidate_demand[0];
+  const double opening_total = round.total_demand;
+  const int absorbed = std::min(opening, 3);
+  round.candidate_demand[0] -= absorbed;
+  round.total_demand = std::max(0.0, round.total_demand - absorbed);
+  check_all("after claim");
+  const std::vector<double> claimed =
+      featurizer.Features(round, teams[0], 0, &teams);
+  EXPECT_EQ(claimed[1], std::min(3.0, (opening - absorbed) / 8.0));
+  EXPECT_EQ(claimed[2], std::min(3.0, (opening_total - absorbed) / 60.0));
+  EXPECT_LT(claimed[1], std::min(3.0, opening / 8.0));
+
+  EXPECT_GT(unreachable, 0);
+  EXPECT_GT(ties, 0);
+  EXPECT_GT(counted, 0);
+  EXPECT_GT(hospital_closer, 0);
+  EXPECT_GT(pending_rows, 0);
+  EXPECT_GT(depot_rows, 0);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 
@@ -92,6 +94,86 @@ AssignmentResult SolveAssignmentPadded(const AssignmentProblem& problem) {
   return result;
 }
 
+// The rectangular loop SolveAssignment ran before its fused column pass,
+// kept verbatim as the reference: each augmenting step relaxes and scans
+// the columns, then makes a second pass to update the potentials and minv.
+AssignmentResult SolveAssignmentTwoPass(const AssignmentProblem& problem) {
+  if (problem.cost.size() != problem.rows * problem.cols) {
+    throw std::invalid_argument("SolveAssignment: cost size mismatch");
+  }
+  for (double c : problem.cost) {
+    if (!std::isfinite(c)) {
+      throw std::invalid_argument(
+          "SolveAssignment: non-finite cost (use kForbiddenCost)");
+    }
+  }
+  const std::size_t n = problem.rows;
+  const std::size_t cols = problem.cols;
+  AssignmentResult result;
+  result.row_to_col.assign(n, -1);
+  if (n == 0 || cols == 0) return result;
+  // e-maxx potentials formulation (1-indexed internally) over the real rows
+  // only: O(rows^2 * cols). It needs rows <= columns, so surplus rows get
+  // zero-cost dummy columns cols+1..m; surplus columns simply stay unused.
+  const std::size_t m = std::max(n, cols);
+
+  std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0), minv(m + 1);
+  std::vector<std::size_t> p(m + 1, 0), way(m + 1, 0);
+  std::vector<char> used(m + 1);
+  for (std::size_t i = 1; i <= n; ++i) {
+    p[0] = i;
+    std::size_t j0 = 0;
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), 0);
+    do {
+      used[j0] = 1;
+      const std::size_t i0 = p[j0];
+      const double* row = problem.cost.data() + (i0 - 1) * cols;
+      double delta = kInf;
+      std::size_t j1 = 0;
+      auto relax = [&](std::size_t j, double c) {
+        if (used[j]) return;
+        const double cur = c - u[i0] - v[j];
+        if (cur < minv[j]) {
+          minv[j] = cur;
+          way[j] = j0;
+        }
+        if (minv[j] < delta) {
+          delta = minv[j];
+          j1 = j;
+        }
+      };
+      for (std::size_t j = 1; j <= cols; ++j) relax(j, row[j - 1]);
+      for (std::size_t j = cols + 1; j <= m; ++j) relax(j, 0.0);
+      for (std::size_t j = 0; j <= m; ++j) {
+        if (used[j]) {
+          u[p[j]] += delta;
+          v[j] -= delta;
+        } else {
+          minv[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (p[j0] != 0);
+    do {
+      const std::size_t j1 = way[j0];
+      p[j0] = p[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+
+  for (std::size_t j = 1; j <= cols; ++j) {
+    const std::size_t i = p[j];
+    if (i == 0) continue;
+    // Skip forbidden assignments encoded with kForbiddenCost.
+    const double c = problem.at(i - 1, j - 1);
+    if (c >= kForbiddenCost * 0.999) continue;
+    result.row_to_col[i - 1] = static_cast<int>(j - 1);
+    result.total_cost += c;
+  }
+  return result;
+}
+
 AssignmentProblem Make(std::size_t rows, std::size_t cols,
                        std::initializer_list<double> costs) {
   AssignmentProblem p;
@@ -132,6 +214,63 @@ AssignmentProblem DispatchShaped(util::Rng& rng, std::size_t candidates,
     for (std::size_t c = 0; c < p.cols; ++c) {
       p.at(r, c) = by_candidate[columns[c]];
     }
+  }
+  return p;
+}
+
+// What TieHeavy put into one problem.
+struct TieCounts {
+  int forbidden_rows = 0;  // rows that reach no candidate
+  int copied_rows = 0;     // byte-identical copies of an earlier row
+  int replicated = 0;      // columns that repeat the previous column
+};
+
+// A problem with the three tie sources of a paper-day assignment round.
+// Each candidate fills 1-3 replicated columns. About a third of the rows
+// reach no candidate (every cell kForbiddenCost), and about a third of the
+// rest are byte-identical copies of an earlier reachable row (co-located
+// idle teams). The others reach ~25% of the candidates at negated margins:
+// real-valued, but half of them on a 0.25 grid so equal costs recur across
+// rows and candidates.
+AssignmentProblem TieHeavy(util::Rng& rng, std::size_t candidates,
+                           Shape shape, TieCounts& counts) {
+  std::vector<std::size_t> columns;  // candidate per column
+  for (std::size_t k = 0; k < candidates; ++k) {
+    const double pick = rng.Uniform(0, 1);
+    const int copies = pick < 0.6 ? 1 : (pick < 0.85 ? 2 : 3);
+    for (int c = 0; c < copies; ++c) columns.push_back(k);
+    counts.replicated += copies - 1;
+  }
+  AssignmentProblem p;
+  p.cols = columns.size();
+  p.rows = p.cols;
+  if (shape == Shape::kWide && p.cols > 1) p.rows = 1 + rng.Index(p.cols - 1);
+  if (shape == Shape::kTall) p.rows = p.cols + 1 + rng.Index(p.cols + 4);
+  p.cost.assign(p.rows * p.cols, kForbiddenCost);
+  std::vector<std::size_t> reachable_rows;
+  for (std::size_t r = 0; r < p.rows; ++r) {
+    const double kind = rng.Uniform(0, 1);
+    if (kind < 0.35) {
+      ++counts.forbidden_rows;
+      continue;
+    }
+    if (kind < 0.6 && !reachable_rows.empty()) {
+      const std::size_t from = reachable_rows[rng.Index(reachable_rows.size())];
+      std::copy_n(p.cost.begin() + from * p.cols, p.cols,
+                  p.cost.begin() + r * p.cols);
+      ++counts.copied_rows;
+      continue;
+    }
+    std::vector<double> by_candidate(candidates, kForbiddenCost);
+    for (double& c : by_candidate) {
+      if (rng.Uniform(0, 1) >= 0.25) continue;
+      const double margin = rng.Uniform(-2, 3);
+      c = -(rng.Uniform(0, 1) < 0.5 ? std::round(margin * 4) / 4 : margin);
+    }
+    for (std::size_t c = 0; c < p.cols; ++c) {
+      p.at(r, c) = by_candidate[columns[c]];
+    }
+    reachable_rows.push_back(r);
   }
   return p;
 }
@@ -355,6 +494,81 @@ TEST(HungarianTest, RowToColIdenticalToPaddedWhenRowsAtLeastCols) {
     ASSERT_EQ(got.row_to_col, ref.row_to_col) << "trial " << trial;
     ASSERT_EQ(got.total_cost, ref.total_cost) << "trial " << trial;
   }
+}
+
+TEST(HungarianTest, EveryLaneBodyMatchesTwoPassReferenceBitwise) {
+  // The fused pass keeps the reference's arithmetic and its first-strict-
+  // minimum tie rule, so every lane body must give the same row_to_col and
+  // the same total_cost bits, even where equal-cost optima abound.
+  const std::vector<detail::LaneBody> bodies = detail::HostLaneBodies();
+  ASSERT_FALSE(bodies.empty());
+  EXPECT_EQ(bodies.front(), detail::LaneBody::kDefault);
+  util::Rng rng(14);
+  TieCounts counts;
+  int wide = 0, tall = 0, square = 0, paper_scale = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const Shape shape = trial % 3 == 0   ? Shape::kWide
+                        : trial % 3 == 1 ? Shape::kTall
+                                         : Shape::kSquare;
+    // Every 25th problem has a paper-day round's ~40 candidates
+    // (~60-120 columns); the rest are small enough to vary widely.
+    const bool paper = trial % 25 == 0;
+    const std::size_t candidates =
+        paper ? 36 + rng.Index(8) : 1 + rng.Index(24);
+    const AssignmentProblem p = TieHeavy(rng, candidates, shape, counts);
+    wide += p.rows < p.cols;
+    tall += p.rows > p.cols;
+    square += p.rows == p.cols;
+    paper_scale += paper;
+
+    const AssignmentResult ref = SolveAssignmentTwoPass(p);
+    ExpectValidAssignment(p, ref);
+    std::vector<AssignmentResult> got;
+    for (const detail::LaneBody body : bodies) {
+      got.push_back(detail::SolveAssignment(p, body));
+    }
+    got.push_back(SolveAssignment(p));  // the body the host dispatches to
+    for (std::size_t b = 0; b < got.size(); ++b) {
+      ASSERT_EQ(got[b].row_to_col, ref.row_to_col)
+          << "body " << b << " trial " << trial << " " << p.rows << "x"
+          << p.cols;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[b].total_cost),
+                std::bit_cast<std::uint64_t>(ref.total_cost))
+          << "body " << b << " trial " << trial << " " << p.rows << "x"
+          << p.cols;
+    }
+  }
+  EXPECT_GE(wide, 450);
+  EXPECT_GE(tall, 450);
+  EXPECT_GE(square, 450);
+  EXPECT_GE(paper_scale, 60);
+  EXPECT_GE(counts.forbidden_rows, 5000);
+  EXPECT_GE(counts.copied_rows, 3000);
+  EXPECT_GE(counts.replicated, 5000);
+}
+
+TEST(HungarianTest, AllForbiddenAndIdenticalRowsFollowTheReference) {
+  // Four co-located teams (identical rows) and two that reach nothing,
+  // over one candidate replicated three times and one single column: the
+  // e-maxx tie-break alone decides which identical row gets which column.
+  const double f = kForbiddenCost;
+  const AssignmentProblem p = Make(6, 4,
+                                   {-1.5, -1.5, -1.5, -0.5,
+                                    f,    f,    f,    f,
+                                    -1.5, -1.5, -1.5, -0.5,
+                                    -1.5, -1.5, -1.5, -0.5,
+                                    f,    f,    f,    f,
+                                    -1.5, -1.5, -1.5, -0.5});
+  const AssignmentResult ref = SolveAssignmentTwoPass(p);
+  for (const detail::LaneBody body : detail::HostLaneBodies()) {
+    const AssignmentResult got = detail::SolveAssignment(p, body);
+    EXPECT_EQ(got.row_to_col, ref.row_to_col);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_cost),
+              std::bit_cast<std::uint64_t>(ref.total_cost));
+  }
+  EXPECT_EQ(ref.row_to_col[1], -1);
+  EXPECT_EQ(ref.row_to_col[4], -1);
+  EXPECT_DOUBLE_EQ(ref.total_cost, -5.0);
 }
 
 }  // namespace

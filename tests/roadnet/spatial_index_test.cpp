@@ -75,16 +75,6 @@ TEST_F(SpatialIndexTest, MaxRadiusFiltersFarPoints) {
   EXPECT_NE(index_->NearestSegment(corner, d * 2.0 + 10.0), kInvalidSegment);
 }
 
-TEST_F(SpatialIndexTest, SegmentsNearReturnsNeighbourhood) {
-  const util::GeoPoint center = city_.box.Center();
-  const auto near = index_->SegmentsNear(center, 3000.0);
-  EXPECT_FALSE(near.empty());
-  for (SegmentId sid : near) {
-    const util::GeoPoint mid = city_.network.SegmentMidpoint(sid);
-    EXPECT_LE(util::ApproxDistanceMeters(center, mid), 3000.0 + 1.0);
-  }
-}
-
 TEST_F(SpatialIndexTest, OutOfBoxQueriesMatchBruteForce) {
   // Queries clamp into the border cells; the ring bound must account for
   // the out-of-box offset or the scan stops too early.
@@ -238,7 +228,6 @@ TEST_F(SpatialIndexTest, EmptyNetwork) {
   RoadNetwork empty;
   SpatialIndex index(empty, city_.box, 4);
   EXPECT_EQ(index.NearestSegment(city_.box.Center()), kInvalidSegment);
-  EXPECT_TRUE(index.SegmentsNear(city_.box.Center(), 1000.0).empty());
 }
 
 TEST_F(SpatialIndexTest, RejectsBadCellCount) {
