@@ -27,13 +27,9 @@ std::size_t FlowRateAnalyzer::CellIndex(roadnet::SegmentId seg,
 }
 
 void FlowRateAnalyzer::Ingest(const MatchedRecord& m) {
-  IngestReturningCell(m);
-}
-
-std::size_t FlowRateAnalyzer::IngestReturningCell(const MatchedRecord& m) {
-  if (m.speed_mps < moving_threshold_) return kNoCell;
+  if (m.speed_mps < moving_threshold_) return;
   const int hour = util::HourIndex(m.t);
-  if (hour < 0 || hour >= total_hours_) return kNoCell;
+  if (hour < 0 || hour >= total_hours_) return;
   const std::size_t idx = CellIndex(m.segment, hour);
   // One count per (person, segment, hour), regardless of record order or
   // how the trace is split across Ingest calls. person < 2^32 and
@@ -42,9 +38,8 @@ std::size_t FlowRateAnalyzer::IngestReturningCell(const MatchedRecord& m) {
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.person)) *
           counts_.size() +
       idx;
-  if (!seen_.Insert(key)) return kNoCell;
+  if (!seen_.Insert(key)) return;
   ++counts_[idx];
-  return idx;
 }
 
 void FlowRateAnalyzer::ExportState(

@@ -30,23 +30,6 @@ class FlowRateAnalyzer {
   /// Ingest of the full trace.
   void Ingest(const MatchedRecord& m);
 
-  /// Returned by IngestReturningCell for a record that incremented nothing.
-  static constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
-
-  /// Ingest that reports the dense (segment x hour) cell it incremented,
-  /// or kNoCell when the record was skipped (below the moving threshold,
-  /// outside the hour window, or deduplicated). Lets the region-sharded
-  /// StreamState mirror each per-shard increment into a merged counts view
-  /// without re-running dedup (serve/stream_state.cpp).
-  std::size_t IngestReturningCell(const MatchedRecord& m);
-
-  /// Adds one vehicle to a dense cell directly, bypassing dedup — the
-  /// merged-view counterpart of a shard's IngestReturningCell hit.
-  void IncrementCell(std::size_t idx) { ++counts_[idx]; }
-
-  /// Number of dense (segment x hour) cells.
-  std::size_t num_cells() const { return counts_.size(); }
-
   /// Ingests a batch of matched records (any order; dedup holds across
   /// repeated calls).
   void Ingest(const std::vector<MatchedRecord>& matched);

@@ -21,20 +21,6 @@ std::vector<MatchedRecord> MapMatcher::MatchTrace(const GpsTrace& trace) const {
   return out;
 }
 
-std::size_t MapMatcher::MatchBatch(const GpsRecord* records, std::size_t n,
-                                   roadnet::SegmentId* segments,
-                                   std::vector<MatchedRecord>* out) const {
-  std::size_t matched = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const GpsRecord& r = records[i];
-    segments[i] = index_.NearestSegment(r.pos, config_.max_match_distance_m);
-    if (segments[i] == roadnet::kInvalidSegment) continue;
-    out->push_back({r.person, r.t, segments[i], r.speed_mps, r.pos});
-    ++matched;
-  }
-  return matched;
-}
-
 std::vector<Trajectory> MapMatcher::BuildTrajectories(
     const std::vector<MatchedRecord>& matched) const {
   std::vector<Trajectory> out;

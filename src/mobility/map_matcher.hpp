@@ -47,17 +47,6 @@ class MapMatcher {
   /// Matches every record to its nearest segment.
   std::vector<MatchedRecord> MatchTrace(const GpsTrace& trace) const;
 
-  /// Matches `n` records with the SpatialIndex::NearestSegment query
-  /// MatchRecord runs, straight off each record's position (no copy):
-  /// writes records[i]'s segment to segments[i] (kInvalidSegment when
-  /// unmatched), appends matched records to `out` in input order and
-  /// returns how many matched. The region-sharded ingest path
-  /// (serve/stream_state.cpp) sorts each batch by grid cell first so
-  /// consecutive queries hit the same candidate block.
-  std::size_t MatchBatch(const GpsRecord* records, std::size_t n,
-                         roadnet::SegmentId* segments,
-                         std::vector<MatchedRecord>* out) const;
-
   /// Builds per-person landmark trajectories from matched records (which
   /// must be sorted by (person, time), as CleanTrace guarantees).
   std::vector<Trajectory> BuildTrajectories(

@@ -138,18 +138,14 @@ void DispatchService::AdvanceStateTo(util::SimTime now) {
   depth_gauge_.Set(static_cast<double>(queue_.DrainInto(incoming_)));
 
   std::uint64_t parked = 0;
-  applicable_.clear();
   for (const mobility::GpsRecord& r : incoming_) {
     if (r.t <= now) {
-      applicable_.push_back(r);
+      state_.Apply(r);
     } else {
       deferred_.push_back(r);
       ++parked;
     }
   }
-  // One batch in drain order: identical to Apply per record, and the
-  // region-sharded state gets whole drains to cell-group its matching.
-  state_.ApplyBatch(applicable_.data(), applicable_.size());
   if (parked != 0) deferred_counter_.Increment(parked);
   incoming_.clear();
   imbalance_gauge_.Set(queue_.ShardImbalance());

@@ -180,9 +180,10 @@ class DispatchService {
   void IngestBatch(const std::vector<mobility::GpsRecord>& records);
 
   /// Drains the queues and applies every record with t <= now to the
-  /// incremental state; records ahead of `now` are deferred (applied by a
-  /// later call, still in per-person order). Tick() calls this; exposed
-  /// for tests. Not thread-safe against other consumers — one tick loop.
+  /// incremental state, in drain order; records ahead of `now` are
+  /// deferred (applied by a later call, still in per-person order).
+  /// Tick() calls this; exposed for tests. Not thread-safe against other
+  /// consumers — one tick loop.
   void AdvanceStateTo(util::SimTime now);
 
   /// One dispatch tick at context.now: drain + apply, then run the
@@ -285,9 +286,6 @@ class DispatchService {
   // instruments below.
   std::vector<mobility::GpsRecord> incoming_;
   std::vector<mobility::GpsRecord> deferred_;
-  /// Drained records due this tick, handed to StreamState::ApplyBatch in
-  /// drain order (the sharded state batches its matching per drain).
-  std::vector<mobility::GpsRecord> applicable_;
   util::SimTime watermark_ = 0.0;
   std::uint64_t lifetime_ticks_ = 0;
   std::vector<double> decide_ms_;

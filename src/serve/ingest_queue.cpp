@@ -35,8 +35,15 @@ bool ShardedIngestQueue::Push(const mobility::GpsRecord& record) {
         dropped_newest_.Increment();
         return false;
       }
-      // kDropOldest: evict the head to keep the freshest records.
-      ++shard.head;
+      // kDropOldest: evict the head to keep the freshest records. Once a
+      // capacity's worth is evicted, erase them, so an undrained shard
+      // holds at most twice its capacity (amortised O(1) per push).
+      if (++shard.head == config_.shard_capacity) {
+        shard.buf.erase(shard.buf.begin(),
+                        shard.buf.begin() +
+                            static_cast<std::ptrdiff_t>(shard.head));
+        shard.head = 0;
+      }
       dropped_.Increment();
       dropped_oldest_.Increment();
     }

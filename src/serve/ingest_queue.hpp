@@ -92,8 +92,9 @@ class ShardedIngestQueue {
  private:
   struct Shard {
     mutable std::mutex mu;
-    /// FIFO ring: pop at `head`, push at the back. `head` avoids O(n)
-    /// erase-from-front; the buffer is compacted on drain.
+    /// FIFO: evict at `head`, push at the back. `head` avoids an O(n)
+    /// erase-from-front per eviction; the evicted prefix is erased on
+    /// drain, or by Push once it reaches shard_capacity.
     std::vector<mobility::GpsRecord> buf;
     std::size_t head = 0;
     /// Cumulative accepted count (under mu): feeds the balance audit.

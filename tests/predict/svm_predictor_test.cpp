@@ -124,7 +124,7 @@ TEST_F(SvmPredictorTest, StreamedSegmentsGiveTheSameDistribution) {
   const mobility::GpsTrace& trace = world_->eval.trace.records;
   serve::StreamState state(world_->city->network, *world_->index);
   const std::size_t half = trace.size() / 2;
-  state.ApplyBatch(trace.data(), half);
+  state.ApplyAll({trace.data(), half});
   const std::vector<mobility::GpsRecord> snapshot = state.Snapshot(0.0);
   const std::vector<roadnet::SegmentId> segments(
       state.SnapshotSegments().begin(), state.SnapshotSegments().end());

@@ -146,6 +146,8 @@ TEST_F(DispatchServiceTest, StreamedDecisionsMatchBatchReplay) {
   EXPECT_EQ(metrics.state.applied, metrics.ingest.accepted);
   EXPECT_GT(metrics.state.matched, 0u);
   EXPECT_GT(metrics.people_tracked, 0u);
+  EXPECT_GT(metrics.shard_imbalance, 0.0);
+  EXPECT_LE(metrics.shard_imbalance, 2.0);
 }
 
 TEST_F(DispatchServiceTest, TickLatencyWellUnderIpBaselineBudget) {

@@ -305,6 +305,40 @@ TEST_F(StreamStateTest, ExportRestoreRoundTrip) {
         before[seg])
         << "seg=" << seg;
   }
+
+  // Mid-stream: export at the trace's half, restore into a fresh state and
+  // apply the rest. It must end exactly where the uninterrupted state did.
+  const std::span<const mobility::GpsRecord> all(trace);
+  const std::size_t half = trace.size() / 2;
+  StreamState first_half(city_.network, *index_);
+  first_half.ApplyAll(all.first(half));
+  first_half.ExportFlowState(&cells, &seen);
+  StreamState resumed(city_.network, *index_);
+  resumed.Restore(first_half.ExportLatest(), first_half.counters(), cells,
+                  seen);
+  resumed.ApplyAll(all.subspan(half));
+
+  const std::vector<mobility::GpsRecord> want = original.ExportLatest();
+  const std::vector<mobility::GpsRecord> got = resumed.ExportLatest();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].person, want[i].person) << "latest " << i;
+    EXPECT_EQ(got[i].t, want[i].t) << "latest " << i;
+    EXPECT_EQ(got[i].pos.lat, want[i].pos.lat) << "latest " << i;
+    EXPECT_EQ(got[i].pos.lon, want[i].pos.lon) << "latest " << i;
+    EXPECT_EQ(got[i].altitude_m, want[i].altitude_m) << "latest " << i;
+    EXPECT_EQ(got[i].speed_mps, want[i].speed_mps) << "latest " << i;
+  }
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> want_cells, got_cells;
+  std::vector<std::uint64_t> want_seen, got_seen;
+  original.ExportFlowState(&want_cells, &want_seen);
+  resumed.ExportFlowState(&got_cells, &got_seen);
+  EXPECT_FALSE(want_cells.empty());
+  EXPECT_EQ(got_cells, want_cells);
+  EXPECT_EQ(got_seen, want_seen);
+  EXPECT_EQ(resumed.counters().applied, original.counters().applied);
+  EXPECT_EQ(resumed.counters().matched, original.counters().matched);
+  EXPECT_EQ(resumed.counters().unmatched, original.counters().unmatched);
 }
 
 TEST_F(StreamStateTest, SnapshotSegmentsAreTheUnboundedNearestOrInvalid) {
