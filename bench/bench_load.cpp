@@ -103,10 +103,12 @@ LoadRun RunClosedLoop(const util::BoundingBox& box, serve::StreamState& state,
             .count();
     run.records += window_buf.size();
   }
+  // Over the records offered: a kDropOldest eviction was accepted first,
+  // so accepted + dropped would count it twice.
   const serve::IngestCounters c = queue.counters();
-  run.drop_rate = c.accepted > 0 ? static_cast<double>(c.dropped) /
-                                       static_cast<double>(c.accepted + c.dropped)
-                                 : 0.0;
+  run.drop_rate = run.records > 0 ? static_cast<double>(c.dropped) /
+                                        static_cast<double>(run.records)
+                                  : 0.0;
   run.shard_imbalance = queue.ShardImbalance();
   return run;
 }

@@ -277,10 +277,15 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
       if (config_.prediction_chaos) config_.prediction_chaos(context.now);
       OBS_SPAN("predict.refresh");
       // The source's own map-match of each record is reused; the
-      // predictor matches only the people it has none for.
-      const auto& snapshot = tracker_.Snapshot(context.now);
+      // predictor matches only the people it has none for. The
+      // predictor's own sub-spans split the rest of the refresh.
+      const std::vector<mobility::GpsRecord>* snapshot = nullptr;
+      {
+        OBS_SPAN("predict.snapshot");
+        snapshot = &tracker_.Snapshot(context.now);
+      }
       cached_distribution_ = predictor_.PredictDistribution(
-          snapshot, context.now, day_offset_s_, index_,
+          *snapshot, context.now, day_offset_s_, index_,
           tracker_.SnapshotSegments());
     } catch (const std::exception&) {
       ++prediction_failures_;

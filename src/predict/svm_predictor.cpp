@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "obs/trace.hpp"
+
 namespace mobirescue::predict {
 
 SvmRequestPredictor::SvmRequestPredictor(const weather::FactorSampler& factors,
@@ -224,17 +226,23 @@ Distribution SvmRequestPredictor::PredictDistribution(
   // classify the whole batch in one DecisionValues pass.
   const std::size_t n = snapshot.size();
   std::vector<double> rows(n * kNumFactors);
-  for (std::size_t i = 0; i < n; ++i) {
-    const weather::FactorVector h =
-        factors_.At(snapshot[i].pos, t + time_offset);
-    double* row = rows.data() + i * kNumFactors;
-    row[0] = h.precipitation_mm;
-    row[1] = h.wind_mph;
-    row[2] = h.altitude_m;
+  {
+    OBS_SPAN("predict.factors");
+    for (std::size_t i = 0; i < n; ++i) {
+      const weather::FactorVector h =
+          factors_.At(snapshot[i].pos, t + time_offset);
+      double* row = rows.data() + i * kNumFactors;
+      row[0] = h.precipitation_mm;
+      row[1] = h.wind_mph;
+      row[2] = h.altitude_m;
+    }
   }
-  scaler_.TransformRows(rows);
   std::vector<double> values(n);
-  model_.DecisionValues(rows, kNumFactors, values);
+  {
+    OBS_SPAN("predict.score");
+    scaler_.TransformRows(rows);
+    model_.DecisionValues(rows, kNumFactors, values);
+  }
 
   // A positive counts on its caller-matched segment when it has one. A
   // bounded match that found a segment is the unbounded nearest one, so
@@ -243,16 +251,21 @@ Distribution SvmRequestPredictor::PredictDistribution(
     return segments.empty() ? roadnet::kInvalidSegment : segments[i];
   };
   std::vector<util::GeoPoint> unmatched;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] < threshold_ || matched(i) != roadnet::kInvalidSegment) {
-      continue;
+  std::vector<roadnet::SegmentId> found;
+  {
+    OBS_SPAN("predict.match");
+    for (std::size_t i = 0; i < n; ++i) {
+      if (values[i] < threshold_ || matched(i) != roadnet::kInvalidSegment) {
+        continue;
+      }
+      unmatched.push_back(snapshot[i].pos);
     }
-    unmatched.push_back(snapshot[i].pos);
+    found.resize(unmatched.size());
+    index.NearestSegments(unmatched.data(), unmatched.size(), -1.0,
+                          found.data());
   }
-  std::vector<roadnet::SegmentId> found(unmatched.size());
-  index.NearestSegments(unmatched.data(), unmatched.size(), -1.0,
-                        found.data());
   // Counted in snapshot order, as the per-person reference would.
+  OBS_SPAN("predict.count");
   Distribution dist;
   std::size_t next = 0;
   for (std::size_t i = 0; i < n; ++i) {

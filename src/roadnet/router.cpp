@@ -1,10 +1,10 @@
 #include "roadnet/router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -38,39 +38,175 @@ std::optional<Route> ShortestPathTree::RouteTo(const RoadNetwork& net,
   return route;
 }
 
-ShortestPathTree Router::RunDijkstra(LandmarkId source,
+namespace {
+
+/// Indexed 4-ary min-heap over landmarks with decrease-key. A key packs a
+/// non-negative time's bit pattern above the landmark id, so keys order by
+/// (time, landmark) — non-negative doubles sort like their bits — and no
+/// two landmarks share one.
+class LandmarkHeap {
+ public:
+  explicit LandmarkHeap(std::size_t num_landmarks) : pos_(num_landmarks) {
+    heap_.reserve(num_landmarks);
+  }
+
+  bool empty() const { return heap_.empty(); }
+
+  /// Inserts `v` at time `t`, or lowers its time to `t` when `queued`.
+  void PushOrDecrease(LandmarkId v, double t, bool queued) {
+    std::size_t i;
+    if (queued) {
+      i = pos_[v];
+    } else {
+      i = heap_.size();
+      heap_.emplace_back();
+    }
+    SiftUp(i, MakeKey(t, v));
+  }
+
+  /// Removes and returns the landmark with the least (time, landmark).
+  LandmarkId Pop() {
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown(last);
+    return LandmarkOf(top);
+  }
+
+ private:
+  using Key = unsigned __int128;
+
+  static Key MakeKey(double t, LandmarkId v) {
+    return (static_cast<Key>(std::bit_cast<std::uint64_t>(t)) << 64) |
+           static_cast<std::uint32_t>(v);
+  }
+  static LandmarkId LandmarkOf(Key k) {
+    return static_cast<LandmarkId>(static_cast<std::uint32_t>(k));
+  }
+
+  void Place(std::size_t i, Key k) {
+    heap_[i] = k;
+    pos_[LandmarkOf(k)] = static_cast<std::uint32_t>(i);
+  }
+
+  void SiftUp(std::size_t i, Key k) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!(k < heap_[parent])) break;
+      Place(i, heap_[parent]);
+      i = parent;
+    }
+    Place(i, k);
+  }
+
+  void SiftDown(Key k) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + 4, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (heap_[c] < heap_[best]) best = c;
+      }
+      if (!(heap_[best] < k)) break;
+      Place(i, heap_[best]);
+      i = best;
+    }
+    Place(i, k);
+  }
+
+  std::vector<Key> heap_;
+  std::vector<std::uint32_t> pos_;  // heap index of each queued landmark
+};
+
+}  // namespace
+
+Router::Router(const RoadNetwork& net) : net_(net) {
+  for (const bool reverse : {false, true}) {
+    Adjacency& adj = reverse ? in_ : out_;
+    adj.offsets.reserve(net.num_landmarks() + 1);
+    adj.far.reserve(net.num_segments());
+    adj.segment.reserve(net.num_segments());
+    adj.offsets.push_back(0);
+    for (std::size_t u = 0; u < net.num_landmarks(); ++u) {
+      const auto lm = static_cast<LandmarkId>(u);
+      for (SegmentId sid :
+           reverse ? net.InSegments(lm) : net.OutSegments(lm)) {
+        const RoadSegment& seg = net.segment(sid);
+        adj.far.push_back(reverse ? seg.from : seg.to);
+        adj.segment.push_back(sid);
+      }
+      adj.offsets.push_back(static_cast<std::uint32_t>(adj.segment.size()));
+    }
+  }
+}
+
+std::shared_ptr<const Router::Weights> Router::WeightsFor(
+    const NetworkCondition& cond) const {
+  {
+    std::shared_lock lock(cache_mutex_);
+    const auto it = weights_.find(cond.version());
+    if (it != weights_.end()) return it->second;
+  }
+  // Built outside the lock like a tree; a concurrent first query of the
+  // same version builds an identical array and the first insert wins.
+  auto weights = std::make_shared<Weights>(net_.num_segments());
+  for (const RoadSegment& seg : net_.segments()) {
+    (*weights)[seg.id] = cond.TravelTime(seg);
+  }
+  std::unique_lock lock(cache_mutex_);
+  if (weights_.size() >= kMaxWeightArrays) weights_.clear();
+  return weights_.emplace(cond.version(), std::move(weights)).first->second;
+}
+
+ShortestPathTree Router::RunDijkstra(LandmarkId root,
                                      const NetworkCondition& cond,
-                                     LandmarkId stop_at) const {
-  if (source < 0 || static_cast<std::size_t>(source) >= net_.num_landmarks()) {
-    throw std::out_of_range("Router: bad source landmark");
+                                     bool reverse, LandmarkId stop_at) const {
+  const std::size_t n = out_.offsets.size() - 1;
+  if (net_.num_landmarks() != n ||
+      net_.num_segments() != out_.segment.size()) {
+    throw std::logic_error("Router: network changed after construction");
+  }
+  if (root < 0 || static_cast<std::size_t>(root) >= n) {
+    throw std::out_of_range("Router: bad root landmark");
   }
   if (cond.size() != net_.num_segments()) {
     throw std::invalid_argument("Router: condition size mismatch");
   }
+  const std::shared_ptr<const Weights> weights = WeightsFor(cond);
+  const Adjacency& adj = reverse ? in_ : out_;
+  const std::uint32_t* offsets = adj.offsets.data();
+  const LandmarkId* far = adj.far.data();
+  const SegmentId* segment = adj.segment.data();
+  const double* w = weights->data();
+
   ShortestPathTree tree;
-  tree.source = source;
-  tree.time_s.assign(net_.num_landmarks(), kInf);
-  tree.parent_seg.assign(net_.num_landmarks(), kInvalidSegment);
-  tree.time_s[source] = 0.0;
+  tree.source = root;
+  tree.time_s.assign(n, kInf);
+  tree.parent_seg.assign(n, kInvalidSegment);
+  double* time = tree.time_s.data();
+  SegmentId* parent = tree.parent_seg.data();
+  time[root] = 0.0;
 
-  using Item = std::pair<double, LandmarkId>;  // (time, landmark)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.emplace(0.0, source);
-
-  while (!pq.empty()) {
-    const auto [t, u] = pq.top();
-    pq.pop();
-    if (t > tree.time_s[u]) continue;  // stale entry
+  // Settles landmarks in the (time, landmark) order in which the lazy
+  // priority_queue popped its live entries, so every strict-`<`
+  // relaxation, and every equal-time parent, happens as it did there. A
+  // closed segment's +inf weight never passes the `<`.
+  LandmarkHeap heap(n);
+  heap.PushOrDecrease(root, 0.0, /*queued=*/false);
+  while (!heap.empty()) {
+    const LandmarkId u = heap.Pop();
     if (u == stop_at) break;
-    for (SegmentId sid : net_.OutSegments(u)) {
-      const RoadSegment& seg = net_.segment(sid);
-      const double w = cond.TravelTime(seg);
-      if (w == kInf) continue;
-      const double nt = t + w;
-      if (nt < tree.time_s[seg.to]) {
-        tree.time_s[seg.to] = nt;
-        tree.parent_seg[seg.to] = sid;
-        pq.emplace(nt, seg.to);
+    const double t = time[u];
+    for (std::uint32_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+      const LandmarkId v = far[e];
+      const double nt = t + w[segment[e]];
+      if (nt < time[v]) {
+        heap.PushOrDecrease(v, nt, /*queued=*/time[v] != kInf);
+        time[v] = nt;
+        parent[v] = segment[e];
       }
     }
   }
@@ -79,40 +215,12 @@ ShortestPathTree Router::RunDijkstra(LandmarkId source,
 
 ShortestPathTree Router::Tree(LandmarkId source,
                               const NetworkCondition& cond) const {
-  return RunDijkstra(source, cond, kInvalidLandmark);
+  return RunDijkstra(source, cond, /*reverse=*/false, kInvalidLandmark);
 }
 
 ShortestPathTree Router::ReverseTree(LandmarkId target,
                                      const NetworkCondition& cond) const {
-  if (target < 0 || static_cast<std::size_t>(target) >= net_.num_landmarks()) {
-    throw std::out_of_range("Router: bad target landmark");
-  }
-  ShortestPathTree tree;
-  tree.source = target;
-  tree.time_s.assign(net_.num_landmarks(), kInf);
-  tree.parent_seg.assign(net_.num_landmarks(), kInvalidSegment);
-  tree.time_s[target] = 0.0;
-
-  using Item = std::pair<double, LandmarkId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.emplace(0.0, target);
-  while (!pq.empty()) {
-    const auto [t, u] = pq.top();
-    pq.pop();
-    if (t > tree.time_s[u]) continue;
-    for (SegmentId sid : net_.InSegments(u)) {
-      const RoadSegment& seg = net_.segment(sid);
-      const double w = cond.TravelTime(seg);
-      if (w == kInf) continue;
-      const double nt = t + w;
-      if (nt < tree.time_s[seg.from]) {
-        tree.time_s[seg.from] = nt;
-        tree.parent_seg[seg.from] = sid;
-        pq.emplace(nt, seg.from);
-      }
-    }
-  }
-  return tree;
+  return RunDijkstra(target, cond, /*reverse=*/true, kInvalidLandmark);
 }
 
 std::shared_ptr<const ShortestPathTree> Router::CachedImpl(
@@ -143,7 +251,10 @@ std::shared_ptr<const ShortestPathTree> Router::CachedImpl(
           std::chrono::steady_clock::now() - build_t0)
           .count());
   std::unique_lock lock(cache_mutex_);
-  if (cache_.size() >= kMaxCacheEntries) cache_.clear();
+  if (cache_.size() >= kMaxCacheEntries) {
+    cache_.clear();
+    weights_.clear();
+  }
   const auto [it, inserted] = cache_.emplace(key, std::move(tree));
   return it->second;
 }
@@ -173,34 +284,12 @@ std::size_t Router::cache_entries() const {
 void Router::ClearCache() const {
   std::unique_lock lock(cache_mutex_);
   cache_.clear();
+  weights_.clear();
 }
 
 std::optional<Route> Router::ShortestRoute(LandmarkId from, LandmarkId to,
                                            const NetworkCondition& cond) const {
-  const ShortestPathTree tree = RunDijkstra(from, cond, to);
-  return tree.RouteTo(net_, to);
-}
-
-double Router::TravelTime(LandmarkId from, LandmarkId to,
-                          const NetworkCondition& cond) const {
-  const ShortestPathTree tree = RunDijkstra(from, cond, to);
-  return tree.Reachable(to) ? tree.time_s[to] : kInf;
-}
-
-LandmarkId Router::NearestTarget(LandmarkId from,
-                                 const std::vector<LandmarkId>& targets,
-                                 const NetworkCondition& cond) const {
-  if (targets.empty()) return kInvalidLandmark;
-  const ShortestPathTree tree = RunDijkstra(from, cond, kInvalidLandmark);
-  LandmarkId best = kInvalidLandmark;
-  double best_t = kInf;
-  for (LandmarkId t : targets) {
-    if (tree.Reachable(t) && tree.time_s[t] < best_t) {
-      best_t = tree.time_s[t];
-      best = t;
-    }
-  }
-  return best;
+  return RunDijkstra(from, cond, /*reverse=*/false, to).RouteTo(net_, to);
 }
 
 }  // namespace mobirescue::roadnet

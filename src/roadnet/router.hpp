@@ -4,6 +4,14 @@
 // driving route Φ_kj from its current position to its destination segment,
 // and the driving delay t_kj = Σ l_e / v_e along that route.
 //
+// Every tree, forward or reverse, cached or not, runs one Dijkstra body
+// (DESIGN.md §9.2). It walks a CSR copy of the graph built once in the
+// constructor, in the network's own edge order, and reads one travel-time
+// array per condition version, built on the first tree of that version.
+// Its indexed 4-ary heap pops landmarks in (time, landmark) order, the
+// order of the lazy std::priority_queue it replaced, so every time and
+// every equal-time parent is what that loop gave.
+//
 // Because the dispatch loop asks for the same trees over and over — every
 // team standing at the same hospital, every candidate segment re-scored
 // each round, the whole fleet re-planned inside one hourly flood epoch —
@@ -58,13 +66,17 @@ struct RouterCacheStats {
 };
 
 /// Dijkstra router. Weights are travel times under a NetworkCondition
-/// (closed segments are impassable). The uncached entry points are stateless
-/// apart from the bound graph; the Cached* entry points share immutable
-/// trees behind a shared_mutex and are safe to call concurrently from any
-/// number of threads.
+/// (closed segments are impassable). Every entry point is safe to call
+/// concurrently from any number of threads: the graph is immutable after
+/// construction, and the per-version weight arrays and the Cached* trees
+/// are shared immutable objects behind one shared_mutex.
+///
+/// The router copies the network's adjacency when it is constructed. Once
+/// the network gains landmarks or segments, every tree it would build
+/// throws std::logic_error instead; bind a fresh Router to it.
 class Router {
  public:
-  explicit Router(const RoadNetwork& net) : net_(net) {}
+  explicit Router(const RoadNetwork& net);
 
   // The cache members make Router non-copyable; bind a fresh Router to the
   // same network instead (caches are per-instance).
@@ -75,9 +87,9 @@ class Router {
   ShortestPathTree Tree(LandmarkId source, const NetworkCondition& cond) const;
 
   /// All-to-one Dijkstra on the reversed graph: time_s[u] is the travel
-  /// time from u *to* `target`. parent_seg is not meaningful for route
-  /// extraction here (times only). Used to score many teams against one
-  /// candidate destination in a single pass.
+  /// time from u *to* `target`, and parent_seg[u] the segment leaving u on
+  /// that route (RouteTo does not apply). Used to score many teams against
+  /// one candidate destination in a single pass.
   ShortestPathTree ReverseTree(LandmarkId target,
                                const NetworkCondition& cond) const;
 
@@ -95,20 +107,11 @@ class Router {
   std::optional<Route> ShortestRoute(LandmarkId from, LandmarkId to,
                                      const NetworkCondition& cond) const;
 
-  /// Travel time of the shortest route, +inf when unreachable.
-  double TravelTime(LandmarkId from, LandmarkId to,
-                    const NetworkCondition& cond) const;
-
-  /// Nearest landmark (by travel time) among `targets`, e.g. the nearest
-  /// hospital; kInvalidLandmark when none reachable.
-  LandmarkId NearestTarget(LandmarkId from,
-                           const std::vector<LandmarkId>& targets,
-                           const NetworkCondition& cond) const;
-
   const RoadNetwork& network() const { return net_; }
 
   RouterCacheStats cache_stats() const;
   std::size_t cache_entries() const;
+  /// Drops every cached tree and weight array (the counters are kept).
   void ClearCache() const;
 
  private:
@@ -133,23 +136,47 @@ class Router {
     }
   };
 
+  /// One direction of the graph in CSR form: the edges of landmark u are
+  /// [offsets[u], offsets[u + 1]), in the network's Out/InSegments order,
+  /// which decides which of two equal-time relaxations wins.
+  struct Adjacency {
+    std::vector<std::uint32_t> offsets;  // num_landmarks + 1
+    std::vector<LandmarkId> far;         // the edge's other endpoint
+    std::vector<SegmentId> segment;
+  };
+  /// cond.TravelTime(seg) per segment id (+inf when closed).
+  using Weights = std::vector<double>;
+
   std::shared_ptr<const ShortestPathTree> CachedImpl(
       LandmarkId landmark, const NetworkCondition& cond, bool reverse) const;
 
-  ShortestPathTree RunDijkstra(LandmarkId source, const NetworkCondition& cond,
-                               LandmarkId stop_at) const;
+  std::shared_ptr<const Weights> WeightsFor(
+      const NetworkCondition& cond) const;
+
+  /// The one Dijkstra body: from `root` over the forward (or, with
+  /// `reverse`, the reversed) graph, stopping once `stop_at` is settled.
+  ShortestPathTree RunDijkstra(LandmarkId root, const NetworkCondition& cond,
+                               bool reverse, LandmarkId stop_at) const;
 
   const RoadNetwork& net_;
+  Adjacency out_;
+  Adjacency in_;
 
   /// Safety valve: a full cache wipe once this many distinct trees pile up
   /// (a day-long run across 24 hourly epochs stays far below it).
   static constexpr std::size_t kMaxCacheEntries = 16384;
+  /// Weight arrays kept, one per condition version, wiped when full and
+  /// with the trees. Trace generation walks a 10-day window one hour at a
+  /// time, person after person, so it needs all 240 at once.
+  static constexpr std::size_t kMaxWeightArrays = 256;
 
   mutable std::shared_mutex cache_mutex_;
   mutable std::unordered_map<CacheKey,
                              std::shared_ptr<const ShortestPathTree>,
                              CacheKeyHash>
       cache_;
+  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const Weights>>
+      weights_;
   // Registry-backed instruments (obs/metrics.hpp): every Router instance
   // registers the same names; exposition merges them, cache_stats() reads
   // this instance's values. Increment cost matches the plain atomics these

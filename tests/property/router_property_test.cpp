@@ -94,7 +94,7 @@ TEST_P(RouterPropertyTest, ReverseTreeMatchesForward) {
   const ShortestPathTree rtree = router.ReverseTree(target, g.cond);
   for (std::size_t v = 0; v < g.net.num_landmarks(); ++v) {
     const double forward =
-        router.TravelTime(static_cast<LandmarkId>(v), target, g.cond);
+        router.Tree(static_cast<LandmarkId>(v), g.cond).time_s[target];
     if (forward == kInf) {
       EXPECT_FALSE(rtree.Reachable(static_cast<LandmarkId>(v)));
     } else {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 namespace mobirescue::roadnet {
 namespace {
 
@@ -62,7 +65,7 @@ TEST_F(RouterTest, UnreachableReturnsNullopt) {
   cond.Close(ab_);
   cond.Close(ac_);
   EXPECT_FALSE(router.ShortestRoute(a_, c_, cond).has_value());
-  EXPECT_TRUE(std::isinf(router.TravelTime(a_, c_, cond)));
+  EXPECT_TRUE(std::isinf(router.Tree(a_, cond).time_s[c_]));
 }
 
 TEST_F(RouterTest, RouteToSelfIsEmpty) {
@@ -94,7 +97,7 @@ TEST_F(RouterTest, ReverseTreeGivesTimesToTarget) {
   EXPECT_DOUBLE_EQ(rtree.time_s[c_], 0.0);
   // Forward and reverse agree for every source.
   for (LandmarkId lm : {a_, b_, c_}) {
-    EXPECT_NEAR(rtree.time_s[lm], router.TravelTime(lm, c_, cond), 1e-9);
+    EXPECT_NEAR(rtree.time_s[lm], router.Tree(lm, cond).time_s[c_], 1e-9);
   }
 }
 
@@ -112,21 +115,43 @@ TEST_F(RouterTest, ReverseTreeRespectsDirectionality) {
   EXPECT_FALSE(to_a.Reachable(b));
 }
 
-TEST_F(RouterTest, NearestTargetPicksClosest) {
-  Router router(net_);
-  NetworkCondition cond(net_.num_segments());
-  EXPECT_EQ(router.NearestTarget(a_, {b_, c_}, cond), b_);
-  EXPECT_EQ(router.NearestTarget(c_, {a_, b_}, cond), b_);
-  EXPECT_EQ(router.NearestTarget(a_, {}, cond), kInvalidLandmark);
-}
-
 TEST_F(RouterTest, BadInputsThrow) {
   Router router(net_);
   NetworkCondition cond(net_.num_segments());
   EXPECT_THROW(router.Tree(-1, cond), std::out_of_range);
   EXPECT_THROW(router.Tree(99, cond), std::out_of_range);
-  NetworkCondition wrong(1);
-  EXPECT_THROW(router.Tree(a_, wrong), std::invalid_argument);
+  EXPECT_THROW(router.ReverseTree(-1, cond), std::out_of_range);
+  EXPECT_THROW(router.ReverseTree(99, cond), std::out_of_range);
+  // A condition made for another network, shorter or longer, is refused
+  // by every entry point before any work.
+  NetworkCondition shorter(1);
+  NetworkCondition longer(net_.num_segments() + 1);
+  for (const NetworkCondition* wrong : {&shorter, &longer}) {
+    EXPECT_THROW(router.Tree(a_, *wrong), std::invalid_argument);
+    EXPECT_THROW(router.ReverseTree(c_, *wrong), std::invalid_argument);
+    EXPECT_THROW(router.CachedTree(a_, *wrong), std::invalid_argument);
+    EXPECT_THROW(router.CachedReverseTree(c_, *wrong), std::invalid_argument);
+    EXPECT_THROW(router.ShortestRoute(a_, c_, *wrong), std::invalid_argument);
+  }
+  EXPECT_EQ(router.cache_entries(), 0u);
+
+  // A network that grows after the router copied its graph: every query
+  // throws instead of walking the stale copy, also under a condition sized
+  // for the grown network.
+  const LandmarkId d = net_.AddLandmark({35.70, -78.85}, 200, 1);
+  NetworkCondition same_segments(net_.num_segments());
+  EXPECT_THROW(router.Tree(a_, same_segments), std::logic_error);
+  EXPECT_THROW(router.ReverseTree(c_, same_segments), std::logic_error);
+  Router before_segment(net_);
+  EXPECT_NO_THROW(before_segment.Tree(d, same_segments));
+  net_.AddSegment(c_, d, 10.0, 1000.0);
+  NetworkCondition grown(net_.num_segments());
+  EXPECT_THROW(before_segment.Tree(a_, grown), std::logic_error);
+  EXPECT_THROW(before_segment.ReverseTree(d, grown), std::logic_error);
+  EXPECT_THROW(before_segment.CachedTree(a_, grown), std::logic_error);
+  EXPECT_THROW(before_segment.CachedReverseTree(d, grown), std::logic_error);
+  EXPECT_THROW(before_segment.ShortestRoute(a_, d, grown), std::logic_error);
+  EXPECT_NEAR(Router(net_).Tree(a_, grown).time_s[d], 300.0, 1e-9);
 }
 
 }  // namespace

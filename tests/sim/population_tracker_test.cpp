@@ -23,7 +23,9 @@ TEST(PopulationTrackerTest, SnapshotAdvancesWithTime) {
   const auto& later = tracker.Snapshot(200.0);
   EXPECT_EQ(later.size(), 2u);
   for (const auto& r : later) {
-    if (r.person == 0) EXPECT_DOUBLE_EQ(r.pos.lat, 35.2);
+    if (r.person == 0) {
+      EXPECT_DOUBLE_EQ(r.pos.lat, 35.2);
+    }
   }
 }
 
