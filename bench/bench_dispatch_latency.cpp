@@ -16,6 +16,7 @@
 // for CI.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include "dispatch/rescue_dispatcher.hpp"
 #include "dispatch/schedule_dispatcher.hpp"
 #include "serve/dispatch_service.hpp"
+#include "serve/stream_state.hpp"
 #include "serve/trace_streamer.hpp"
 #include "sim/population_tracker.hpp"
 #include "sim/request.hpp"
@@ -136,6 +138,41 @@ void BM_SvmPredictDistribution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SvmPredictDistribution)->Unit(benchmark::kMillisecond);
+
+/// The refresh the service runs: the streamed state holds the evaluation
+/// day up to noon; each iteration re-applies one record, as a tick does
+/// before its refresh, then predicts from the state's snapshot and its
+/// matched segments.
+void BM_ServedRefresh(benchmark::State& state) {
+  LatencyFixture& f = Fixture();
+  const int day = f.world->eval.spec.eval_day;
+  const double noon = 12 * 3600.0;
+  mobility::GpsTrace records = sim::DaySlice(f.world->eval.trace.records, day);
+  std::stable_sort(records.begin(), records.end(),
+                   [](const mobility::GpsRecord& a,
+                      const mobility::GpsRecord& b) { return a.t < b.t; });
+  serve::StreamState stream(f.world->city->network, *f.world->index);
+  std::size_t applied = 0;
+  while (applied < records.size() && records[applied].t <= noon) {
+    stream.Apply(records[applied++]);
+  }
+  if (applied == 0) {
+    state.SkipWithError("no record before noon");
+    return;
+  }
+  // The last record applied is its person's latest: re-applying it is an
+  // equal-time overwrite.
+  const mobility::GpsRecord again = records[applied - 1];
+  for (auto _ : state) {
+    stream.Apply(again);
+    const std::vector<mobility::GpsRecord>& snapshot = stream.Snapshot(noon);
+    benchmark::DoNotOptimize(f.svm->PredictDistribution(
+        snapshot, noon, day * util::kSecondsPerDay, *f.world->index,
+        stream.SnapshotSegments()));
+  }
+  state.counters["people"] = static_cast<double>(stream.num_people_seen());
+}
+BENCHMARK(BM_ServedRefresh)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // --json mode: end-to-end dispatch-round timings as mobirescue-bench-v1.

@@ -296,7 +296,7 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
   // The dispatching centre also knows about already-appeared pending
   // requests; fold them into the demand map with a higher weight than the
   // speculative SVM counts — an appeared request is certain demand. The
-  // copy goes into demand_, whose nodes the last round handed back.
+  // copy goes into demand_, whose buffer the last round handed back.
   demand_ = cached_distribution_;
   std::vector<roadnet::SegmentId> pending_segments;
   for (const sim::RequestView& r : context.pending) {

@@ -222,6 +222,14 @@ Distribution SvmRequestPredictor::PredictDistribution(
     throw std::invalid_argument(
         "PredictDistribution: segments not parallel to the snapshot");
   }
+  const std::size_t num_segments = index.num_segments();
+  for (const roadnet::SegmentId seg : segments) {
+    if (seg != roadnet::kInvalidSegment &&
+        (seg < 0 || static_cast<std::size_t>(seg) >= num_segments)) {
+      throw std::invalid_argument(
+          "PredictDistribution: matched segment not in the index");
+    }
+  }
   // Sample and z-score every snapshot row into one flat buffer, then
   // classify the whole batch in one DecisionValues pass.
   const std::size_t n = snapshot.size();
@@ -264,18 +272,19 @@ Distribution SvmRequestPredictor::PredictDistribution(
     index.NearestSegments(unmatched.data(), unmatched.size(), -1.0,
                           found.data());
   }
-  // Counted in snapshot order, as the per-person reference would.
+  // One count per segment, then the nonzero ones in segment order: the
+  // result does not depend on the snapshot's row order.
   OBS_SPAN("predict.count");
-  Distribution dist;
+  std::vector<int> counts(num_segments, 0);
   std::size_t next = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (values[i] < threshold_) continue;
     roadnet::SegmentId seg = matched(i);
     if (seg == roadnet::kInvalidSegment) seg = found[next++];
     if (seg == roadnet::kInvalidSegment) continue;
-    ++dist[seg];
+    ++counts[static_cast<std::size_t>(seg)];
   }
-  return dist;
+  return Distribution::FromCounts(counts);
 }
 
 }  // namespace mobirescue::predict

@@ -9,8 +9,11 @@
 // (negative).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <initializer_list>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ml/svm/metrics.hpp"
@@ -23,8 +26,80 @@
 
 namespace mobirescue::predict {
 
-/// Per-segment predicted request counts: the paper's {ñ_e}.
-using Distribution = std::unordered_map<roadnet::SegmentId, int>;
+/// Per-segment predicted request counts: the paper's {ñ_e}. A flat map of
+/// (segment, count) entries sorted by segment, so a copy reuses one buffer
+/// and a walk reads contiguous memory; it iterates in ascending segment
+/// order. It keeps the std::unordered_map API its callers use. Entries
+/// are mutable pairs: change a count through them, never a segment.
+class Distribution {
+ public:
+  using value_type = std::pair<roadnet::SegmentId, int>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+ private:
+  template <typename Entries>
+  static auto LowerBound(Entries& entries, roadnet::SegmentId seg) {
+    return std::lower_bound(
+        entries.begin(), entries.end(), seg,
+        [](const value_type& e, roadnet::SegmentId s) { return e.first < s; });
+  }
+  template <typename Entries>
+  static auto Find(Entries& entries, roadnet::SegmentId seg) {
+    const auto it = LowerBound(entries, seg);
+    return it != entries.end() && it->first == seg ? it : entries.end();
+  }
+
+ public:
+  Distribution() = default;
+  /// A duplicate segment keeps its first count, as in std::unordered_map.
+  Distribution(std::initializer_list<value_type> entries)
+      : entries_(entries) {
+    const auto key_less = [](const value_type& a, const value_type& b) {
+      return a.first < b.first;
+    };
+    const auto key_equal = [](const value_type& a, const value_type& b) {
+      return a.first == b.first;
+    };
+    std::stable_sort(entries_.begin(), entries_.end(), key_less);
+    entries_.erase(std::unique(entries_.begin(), entries_.end(), key_equal),
+                   entries_.end());
+  }
+
+  /// The nonzero entries of `counts`, where counts[s] is segment s's count.
+  static Distribution FromCounts(std::span<const int> counts) {
+    Distribution d;
+    for (std::size_t s = 0; s < counts.size(); ++s) {
+      if (counts[s] != 0) {
+        d.entries_.emplace_back(static_cast<roadnet::SegmentId>(s), counts[s]);
+      }
+    }
+    return d;
+  }
+
+  /// The count of `seg`, inserted as 0 when absent.
+  int& operator[](roadnet::SegmentId seg) {
+    const iterator it = LowerBound(entries_, seg);
+    if (it != entries_.end() && it->first == seg) return it->second;
+    return entries_.insert(it, {seg, 0})->second;
+  }
+  iterator find(roadnet::SegmentId seg) { return Find(entries_, seg); }
+  const_iterator find(roadnet::SegmentId seg) const {
+    return Find(entries_, seg);
+  }
+
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+
+  bool operator==(const Distribution&) const = default;
+
+ private:
+  std::vector<value_type> entries_;  // ascending, distinct segments
+};
 
 struct SvmPredictorConfig {
   SvmPredictorConfig() {
@@ -87,7 +162,10 @@ class SvmRequestPredictor {
   /// not empty, runs parallel to the snapshot: a valid entry is the
   /// person's nearest segment, already matched by the caller
   /// (sim::PopulationSource::SnapshotSegments); positives without one are
-  /// matched here. The result is the same with or without it.
+  /// matched here. The result is the same with or without it, and in any
+  /// row order. Throws std::invalid_argument, before any work, when
+  /// `segments` is not parallel to the snapshot or holds an id that is
+  /// neither kInvalidSegment nor one of the index's segments.
   Distribution PredictDistribution(
       const std::vector<mobility::GpsRecord>& snapshot, util::SimTime t,
       double time_offset, const roadnet::SpatialIndex& index,

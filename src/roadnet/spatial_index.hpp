@@ -34,15 +34,16 @@ class SpatialIndex {
                            double max_radius_m = -1.0) const;
 
   /// out[i] = NearestSegment(pts[i], max_radius_m) for every i. Callers
-  /// that group queries by cell (see serve::StreamState) keep each cell's
-  /// candidate block hot in cache across consecutive queries.
+  /// that group queries by cell keep each cell's candidate block hot in
+  /// cache across consecutive queries.
   void NearestSegments(const util::GeoPoint* pts, std::size_t n,
                        double max_radius_m, SegmentId* out) const;
 
   int cells_per_side() const { return cells_; }
   std::size_t num_cells() const { return cell_begin_.size() - 1; }
-  /// Row-major grid cell containing `p` (clamped into the box). The region
-  /// sharding of serve::StreamState keys its geographic partition off this.
+  /// The segments indexed: ids 0 .. num_segments() - 1 of the network.
+  std::size_t num_segments() const { return seg_cell_.size(); }
+  /// Row-major grid cell containing `p` (clamped into the box).
   std::size_t CellOf(const util::GeoPoint& p) const;
   /// The cell a segment is bucketed in (by midpoint). Within a cell,
   /// segments sit in ascending id order.

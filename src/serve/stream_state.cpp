@@ -50,26 +50,31 @@ void StreamState::Apply(const mobility::GpsRecord& record) {
       return;
     }
   }
-  const auto [it, inserted] = latest_.try_emplace(record.person);
-  // Strictly-older records are stale; equal timestamps overwrite, which is
-  // what the batch tracker's stable sort resolves to ("latest wins" among
-  // equal-time records) — required for bit-identity.
-  if (!inserted && config_.validate && record.t < it->second.record.t) {
+  const auto [it, inserted] =
+      slot_of_.try_emplace(record.person, records_.size());
+  const std::size_t slot = it->second;
+  if (inserted) {
+    records_.emplace_back();
+    segments_.emplace_back();
+  } else if (config_.validate && record.t < records_[slot].t) {
+    // Strictly-older records are stale; equal timestamps overwrite, which
+    // is what the batch tracker's stable sort resolves to ("latest wins"
+    // among equal-time records) — required for bit-identity.
     ++counters_.quarantined_stale;
     quarantined_total_.Increment();
     quarantine_stale_.Increment();
     EmitQuarantine(record.person, "stale");
     return;
   }
-  it->second = {record, roadnet::kInvalidSegment};
+  records_[slot] = record;
   ++counters_.applied;
-  dirty_ = true;
   mobility::MatchedRecord m;
   if (matcher_.MatchRecord(record, &m)) {
-    it->second.segment = m.segment;
+    segments_[slot] = m.segment;
     ++counters_.matched;
     flows_.Ingest(m);
   } else {
+    segments_[slot] = roadnet::kInvalidSegment;
     ++counters_.unmatched;
   }
 }
@@ -80,24 +85,11 @@ void StreamState::ApplyAll(std::span<const mobility::GpsRecord> records) {
 
 const std::vector<mobility::GpsRecord>& StreamState::Snapshot(
     util::SimTime /*t*/) {
-  if (dirty_) {
-    snapshot_.clear();
-    snapshot_segments_.clear();
-    snapshot_.reserve(latest_.size());
-    snapshot_segments_.reserve(latest_.size());
-    for (const auto& [id, latest] : latest_) {
-      snapshot_.push_back(latest.record);
-      snapshot_segments_.push_back(latest.segment);
-    }
-    dirty_ = false;
-  }
-  return snapshot_;
+  return records_;
 }
 
 std::vector<mobility::GpsRecord> StreamState::ExportLatest() const {
-  std::vector<mobility::GpsRecord> out;
-  out.reserve(latest_.size());
-  for (const auto& [id, latest] : latest_) out.push_back(latest.record);
+  std::vector<mobility::GpsRecord> out = records_;
   std::sort(out.begin(), out.end(),
             [](const mobility::GpsRecord& a, const mobility::GpsRecord& b) {
               return a.person < b.person;
@@ -116,16 +108,22 @@ void StreamState::Restore(
     const StreamStateCounters& counters,
     const std::vector<std::pair<std::uint64_t, std::uint32_t>>& flow_cells,
     const std::vector<std::uint64_t>& flow_seen) {
-  latest_.clear();
-  latest_.reserve(latest.size());
+  slot_of_.clear();
+  slot_of_.reserve(latest.size());
+  records_.clear();
+  for (const mobility::GpsRecord& r : latest) {
+    const auto [it, inserted] = slot_of_.try_emplace(r.person, records_.size());
+    if (inserted) {
+      records_.push_back(r);
+    } else {
+      records_[it->second] = r;
+    }
+  }
   // The checkpoint keeps no segments: the predictor matches these people
   // itself until their next record arrives.
-  for (const mobility::GpsRecord& r : latest) {
-    latest_[r.person] = {r, roadnet::kInvalidSegment};
-  }
+  segments_.assign(records_.size(), roadnet::kInvalidSegment);
   counters_ = counters;
   flows_.RestoreState(flow_cells, flow_seen);
-  dirty_ = true;
 }
 
 }  // namespace mobirescue::serve

@@ -88,22 +88,24 @@ class StreamState : public sim::PopulationSource {
   /// Apply over a drained batch, in order.
   void ApplyAll(std::span<const mobility::GpsRecord> records);
 
-  /// Every person's latest applied position. `t` is accepted for interface
-  /// compatibility (PopulationSource); the service only snapshots after
-  /// draining all records with time <= t, so the content equals the batch
-  /// tracker's Snapshot(t).
+  /// Every person's latest applied position, one row per person in
+  /// first-seen order: the state's own record array, not a copy. `t` is
+  /// accepted for interface compatibility (PopulationSource); the service
+  /// only snapshots after draining all records with time <= t, so the
+  /// content equals the batch tracker's Snapshot(t). The reference is valid
+  /// until the next Snapshot(), Apply() or Restore().
   const std::vector<mobility::GpsRecord>& Snapshot(util::SimTime t) override;
 
-  /// Parallel to the last Snapshot(): the segment each person's latest
-  /// record matched to within config.match.max_match_distance_m, or
+  /// Parallel to Snapshot(): the segment each person's latest record
+  /// matched to within config.match.max_match_distance_m, or
   /// kInvalidSegment when it matched none or was restored (Restore keeps
   /// no segments).
   std::span<const roadnet::SegmentId> SnapshotSegments() const override {
-    return snapshot_segments_;
+    return segments_;
   }
 
-  /// Crash recovery (DESIGN.md §13): the latest-position map sorted by
-  /// person id, and the flow analyzer's dedup/count state.
+  /// Crash recovery (DESIGN.md §13): the latest records sorted by person
+  /// id, and the flow analyzer's dedup/count state.
   std::vector<mobility::GpsRecord> ExportLatest() const;
   void ExportFlowState(
       std::vector<std::pair<std::uint64_t, std::uint32_t>>* cells,
@@ -111,7 +113,8 @@ class StreamState : public sim::PopulationSource {
 
   /// Restores state captured by the Export* methods into a freshly built
   /// StreamState over the same network. Replaces (not merges) the current
-  /// state.
+  /// state. Rows are rebuilt in `latest` order; a person listed twice keeps
+  /// the later record.
   void Restore(const std::vector<mobility::GpsRecord>& latest,
                const StreamStateCounters& counters,
                const std::vector<std::pair<std::uint64_t, std::uint32_t>>&
@@ -120,26 +123,22 @@ class StreamState : public sim::PopulationSource {
 
   const mobility::FlowRateAnalyzer& flows() const { return flows_; }
   const StreamStateCounters& counters() const { return counters_; }
-  std::size_t num_people_seen() const { return latest_.size(); }
+  std::size_t num_people_seen() const { return records_.size(); }
   const StreamStateConfig& config() const { return config_; }
 
  private:
-  /// A person's latest applied record and the segment it matched to
-  /// (kInvalidSegment until matched, when unmatched, and after Restore).
-  struct Latest {
-    mobility::GpsRecord record;
-    roadnet::SegmentId segment = roadnet::kInvalidSegment;
-  };
-
   mobility::MapMatcher matcher_;
   mobility::FlowRateAnalyzer flows_;
   StreamStateConfig config_;
   StreamStateCounters counters_;
 
-  std::unordered_map<mobility::PersonId, Latest> latest_;
-  std::vector<mobility::GpsRecord> snapshot_;
-  std::vector<roadnet::SegmentId> snapshot_segments_;
-  bool dirty_ = true;
+  // One slot per person, in first-seen order: the person's latest applied
+  // record and the segment it matched to (kInvalidSegment when unmatched
+  // and after Restore). Apply writes the slot in place; the two arrays are
+  // the snapshot.
+  std::unordered_map<mobility::PersonId, std::size_t> slot_of_;
+  std::vector<mobility::GpsRecord> records_;
+  std::vector<roadnet::SegmentId> segments_;
 
   // Registry-backed quarantine tallies (one aggregate + one per reason).
   obs::Counter quarantined_total_{

@@ -16,19 +16,16 @@ PopulationTracker::PopulationTracker(mobility::GpsTrace records)
 
 const std::vector<mobility::GpsRecord>& PopulationTracker::Snapshot(
     util::SimTime t) {
-  bool changed = false;
-  while (cursor_ < records_.size() && records_[cursor_].t <= t) {
-    latest_[records_[cursor_].person] = records_[cursor_];
-    ++cursor_;
-    changed = true;
+  for (; cursor_ < records_.size() && records_[cursor_].t <= t; ++cursor_) {
+    const mobility::GpsRecord& r = records_[cursor_];
+    const auto [it, inserted] = slot_of_.try_emplace(r.person, latest_.size());
+    if (inserted) {
+      latest_.push_back(r);
+    } else {
+      latest_[it->second] = r;
+    }
   }
-  if (changed || snapshot_time_ < 0.0) {
-    snapshot_.clear();
-    snapshot_.reserve(latest_.size());
-    for (const auto& [id, rec] : latest_) snapshot_.push_back(rec);
-    snapshot_time_ = t;
-  }
-  return snapshot_;
+  return latest_;
 }
 
 mobility::GpsTrace DaySlice(const mobility::GpsTrace& trace, int day) {

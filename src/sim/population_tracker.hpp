@@ -25,12 +25,13 @@ class PopulationSource {
   virtual ~PopulationSource() = default;
 
   /// Advances to time t and returns every person's latest position at or
-  /// before t. The returned reference is valid until the next call.
+  /// before t. The returned reference is valid until the next Snapshot()
+  /// or, for a streamed source, its next Apply() or Restore().
   virtual const std::vector<mobility::GpsRecord>& Snapshot(util::SimTime t) = 0;
 
   /// Parallel to the last Snapshot(): the segment the source map-matched
   /// each row's record to, kInvalidSegment where it has none. Empty when
-  /// the source does not map-match. Valid until the next Snapshot().
+  /// the source does not map-match. Valid as long as that snapshot.
   virtual std::span<const roadnet::SegmentId> SnapshotSegments() const = 0;
 };
 
@@ -41,7 +42,8 @@ class PopulationTracker : public PopulationSource {
   explicit PopulationTracker(mobility::GpsTrace records);
 
   /// Advances to time t and returns every person's latest position at or
-  /// before t. The returned reference is valid until the next call.
+  /// before t, one row per person in first-seen order. The returned
+  /// reference is valid until the next call.
   const std::vector<mobility::GpsRecord>& Snapshot(util::SimTime t) override;
 
   /// Empty: the batch tracker does not map-match.
@@ -54,9 +56,10 @@ class PopulationTracker : public PopulationSource {
  private:
   mobility::GpsTrace records_;  // sorted by time
   std::size_t cursor_ = 0;
-  std::unordered_map<mobility::PersonId, mobility::GpsRecord> latest_;
-  std::vector<mobility::GpsRecord> snapshot_;
-  double snapshot_time_ = -1.0;
+  // One slot per person in first-seen order, overwritten in place: the
+  // latest records are the snapshot.
+  std::unordered_map<mobility::PersonId, std::size_t> slot_of_;
+  std::vector<mobility::GpsRecord> latest_;
 };
 
 /// Extracts one day's records from a full-window trace and re-times them to

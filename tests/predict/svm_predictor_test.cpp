@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "core/pipeline.hpp"
 #include "core/world.hpp"
@@ -100,7 +101,8 @@ TEST_F(SvmPredictorTest, DistributionMatchesPerPersonReference) {
     const double offset = at - 600.0;
     const Distribution dist = predictor_->PredictDistribution(
         snapshot, 600.0, offset, *world_->index);
-    Distribution reference;
+    // The reference is a hash map, not the container under test.
+    std::unordered_map<roadnet::SegmentId, int> reference;
     for (const mobility::GpsRecord& r : snapshot) {
       if (!predictor_->PredictPerson(r.pos, 600.0 + offset)) {
         ++negatives;
@@ -110,7 +112,15 @@ TEST_F(SvmPredictorTest, DistributionMatchesPerPersonReference) {
       const roadnet::SegmentId seg = world_->index->NearestSegment(r.pos);
       if (seg != roadnet::kInvalidSegment) ++reference[seg];
     }
-    EXPECT_EQ(dist, reference) << "at " << at;
+    EXPECT_EQ(dist.size(), reference.size()) << "at " << at;
+    roadnet::SegmentId previous = roadnet::kInvalidSegment;
+    for (const auto& [seg, count] : dist) {
+      EXPECT_GT(seg, previous) << "at " << at;  // ascending, distinct
+      previous = seg;
+      const auto it = reference.find(seg);
+      ASSERT_NE(it, reference.end()) << "segment " << seg << " at " << at;
+      EXPECT_EQ(count, it->second) << "segment " << seg << " at " << at;
+    }
   }
   EXPECT_GT(positives, 0u);
   EXPECT_GT(negatives, 0u);
@@ -160,6 +170,57 @@ TEST_F(SvmPredictorTest, StreamedSegmentsGiveTheSameDistribution) {
                    snapshot, 600.0, 0.0, *world_->index,
                    std::span<const roadnet::SegmentId>(segments).first(1)),
                std::invalid_argument);
+  // So is a matched id that is not a segment of the index's network.
+  const auto num_segments =
+      static_cast<roadnet::SegmentId>(world_->index->num_segments());
+  ASSERT_EQ(world_->index->num_segments(),
+            world_->city->network.num_segments());
+  for (const roadnet::SegmentId bad : {roadnet::SegmentId{-2}, num_segments}) {
+    std::vector<roadnet::SegmentId> corrupt = segments;
+    corrupt.back() = bad;
+    EXPECT_THROW(predictor_->PredictDistribution(snapshot, 600.0, 0.0,
+                                                 *world_->index, corrupt),
+                 std::invalid_argument)
+        << "segment " << bad;
+  }
+}
+
+TEST(DistributionTest, FlatMapKeepsTheMapApi) {
+  // Ascending segment order whatever the insertion order; a duplicate
+  // segment in the list keeps its first count.
+  Distribution dist = {{9, 1}, {2, 5}, {9, 7}, {4, 3}, {2, 8}};
+  std::vector<std::pair<roadnet::SegmentId, int>> entries(dist.begin(),
+                                                          dist.end());
+  const std::vector<std::pair<roadnet::SegmentId, int>> want = {
+      {2, 5}, {4, 3}, {9, 1}};
+  EXPECT_EQ(entries, want);
+  EXPECT_EQ(dist.size(), 3u);
+  EXPECT_FALSE(dist.empty());
+  EXPECT_TRUE(Distribution{}.empty());
+
+  // find: a hit, and misses before, between and past the entries.
+  const Distribution& view = dist;
+  ASSERT_NE(view.find(4), view.end());
+  EXPECT_EQ(view.find(4)->second, 3);
+  EXPECT_EQ(view.find(1), view.end());
+  EXPECT_EQ(view.find(3), view.end());
+  EXPECT_EQ(dist.find(10), dist.end());
+  dist.find(9)->second += 2;
+  EXPECT_EQ(dist.find(9)->second, 3);
+
+  // operator[] inserts 0 for a new segment, in order, and reads old ones.
+  EXPECT_EQ(dist[6], 0);
+  dist[0] += 4;
+  EXPECT_EQ(dist[2], 5);
+  entries.assign(dist.begin(), dist.end());
+  const std::vector<std::pair<roadnet::SegmentId, int>> grown = {
+      {0, 4}, {2, 5}, {4, 3}, {6, 0}, {9, 3}};
+  EXPECT_EQ(entries, grown);
+
+  // ==: equal content, whatever the order the entries were listed in.
+  EXPECT_EQ(dist, (Distribution{{9, 3}, {6, 0}, {4, 3}, {2, 5}, {0, 4}}));
+  EXPECT_NE(dist, (Distribution{{9, 3}, {4, 3}, {2, 5}, {0, 4}}));
+  EXPECT_NE(dist, (Distribution{{9, 3}, {6, 1}, {4, 3}, {2, 5}, {0, 4}}));
 }
 
 TEST_F(SvmPredictorTest, EmptySnapshotEmptyDistribution) {

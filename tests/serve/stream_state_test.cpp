@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -381,6 +382,118 @@ TEST_F(StreamStateTest, SnapshotSegmentsAreTheUnboundedNearestOrInvalid) {
   EXPECT_EQ(ExpectSegmentsExact(restored), 1u);
   EXPECT_EQ(SegmentOf(restored, 1),
             index_->NearestSegment(city_.network.landmark(7).pos));
+}
+
+TEST_F(StreamStateTest, SlotsHoldEachPersonsLatestRecordAndMatch) {
+  // The snapshot is the state's own slot arrays, written in place. Through
+  // interleaved applies, every quarantine, equal-time overwrites, extreme
+  // person ids and a Restore, it must hold exactly the latest record of
+  // each person (the ExportLatest set) and, parallel to it, that record's
+  // own match.
+  StreamStateConfig config;
+  // A box wide enough for a record too far from every road to match.
+  config.accept_box = util::BoundingBox{city_.box.At(-1.0, -1.0),
+                                        city_.box.At(2.0, 2.0)};
+  StreamState state(city_.network, *index_, config);
+  const double radius = config.match.max_match_distance_m;
+  mobility::GpsRecord far = At(0, 0.0, 0);
+  far.pos = city_.box.At(-0.8, -0.8);
+  ASSERT_EQ(index_->NearestSegment(far.pos, radius), roadnet::kInvalidSegment);
+  auto far_at = [&far](mobility::PersonId p, double t) {
+    mobility::GpsRecord r = far;
+    r.person = p;
+    r.t = t;
+    return r;
+  };
+
+  // Test-local model: each person's latest record and its expected segment.
+  std::map<mobility::PersonId, std::pair<mobility::GpsRecord, roadnet::SegmentId>>
+      want;
+  auto apply = [&](const mobility::GpsRecord& r, bool accepted) {
+    const std::uint64_t quarantined = state.counters().quarantined();
+    state.Apply(r);
+    EXPECT_EQ(state.counters().quarantined(), quarantined + (accepted ? 0 : 1))
+        << "person " << r.person << " t " << r.t;
+    if (accepted) want[r.person] = {r, index_->NearestSegment(r.pos, radius)};
+  };
+  auto same = [](const mobility::GpsRecord& a, const mobility::GpsRecord& b) {
+    return a.person == b.person && a.t == b.t && a.pos.lat == b.pos.lat &&
+           a.pos.lon == b.pos.lon && a.altitude_m == b.altitude_m &&
+           a.speed_mps == b.speed_mps;
+  };
+  auto check = [&](const char* stage) {
+    SCOPED_TRACE(stage);
+    const std::vector<mobility::GpsRecord>& snap = state.Snapshot(0.0);
+    const std::span<const roadnet::SegmentId> segs = state.SnapshotSegments();
+    ASSERT_EQ(snap.size(), want.size());
+    ASSERT_EQ(segs.size(), snap.size());
+    EXPECT_EQ(state.num_people_seen(), want.size());
+    std::vector<mobility::GpsRecord> sorted = snap;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const mobility::GpsRecord& a, const mobility::GpsRecord& b) {
+                return a.person < b.person;
+              });
+    const std::vector<mobility::GpsRecord> exported = state.ExportLatest();
+    ASSERT_EQ(exported.size(), sorted.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      EXPECT_TRUE(same(sorted[i], exported[i])) << "person " << sorted[i].person;
+    }
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      const auto it = want.find(snap[i].person);
+      ASSERT_NE(it, want.end()) << "person " << snap[i].person;
+      EXPECT_TRUE(same(snap[i], it->second.first)) << "person " << snap[i].person;
+      EXPECT_EQ(segs[i], it->second.second) << "person " << snap[i].person;
+    }
+  };
+
+  constexpr mobility::PersonId kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr mobility::PersonId kMax = std::numeric_limits<std::int32_t>::max();
+  // Interleaved first sightings and updates, matched and unmatched.
+  apply(At(kMax, 10.0, 3), true);
+  apply(At(-1, 11.0, 4), true);
+  apply(At(kMin, 12.0, 5), true);
+  apply(far_at(7, 13.0), true);
+  apply(At(-1, 20.0, 8), true);
+  apply(At(kMax, 25.0, 9), true);
+  apply(At(7, 26.0, 10), true);
+  // Quarantines change nothing: stale, non-finite, out of the box.
+  apply(At(kMax, 24.0, 11), false);
+  mobility::GpsRecord nan_lat = At(-1, 30.0, 12);
+  nan_lat.pos.lat = std::numeric_limits<double>::quiet_NaN();
+  apply(nan_lat, false);
+  mobility::GpsRecord nan_new = At(42, 30.0, 12);
+  nan_new.speed_mps = std::numeric_limits<double>::infinity();
+  apply(nan_new, false);
+  mobility::GpsRecord outside = At(kMin, 31.0, 13);
+  outside.pos.lat += 90.0;
+  apply(outside, false);
+  // Equal-time overwrites: matched to unmatched and back, and a move.
+  apply(far_at(kMin, 12.0), true);
+  apply(far_at(-1, 20.0), true);
+  apply(At(-1, 20.0, 14), true);
+  apply(At(7, 26.0, 15), true);
+  check("applies");
+
+  // A Restore from a list that names person 5 twice: the later record
+  // wins, and no person keeps a segment.
+  const std::vector<mobility::GpsRecord> latest = {
+      At(5, 1.0, 2), At(kMin, 2.0, 3), At(5, 3.0, 4), At(-1, 4.0, 5),
+      At(kMax, 5.0, 6)};
+  state.Restore(latest, state.counters(), {}, {});
+  want.clear();
+  for (const mobility::GpsRecord& r : latest) {
+    want[r.person] = {r, roadnet::kInvalidSegment};
+  }
+  check("restore");
+
+  // Applies after the restore write the restored slots and add new ones.
+  apply(At(5, 10.0, 6), true);
+  apply(At(5, 2.0, 7), false);  // older than the restored-then-applied 10 s
+  apply(At(kMin, 1.0, 8), false);  // older than the restored 2 s
+  apply(At(99, 11.0, 8), true);
+  apply(At(-1, 4.0, 9), true);  // equal time to the restored record
+  apply(far_at(kMax, 6.0), true);
+  check("applies after restore");
 }
 
 TEST_F(StreamStateTest, RestoreRejectsCorruptFlowState) {
