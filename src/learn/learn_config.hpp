@@ -5,17 +5,15 @@
 // the DQN off the decide hot path, shadow-scoring that candidate on the
 // exact contexts the live policy saw, and promoting the candidate's
 // weights into the live agent only when a sliding evidence window says it
-// is measurably better — with automatic rollback when the degradation
-// ladder trips right after a promotion.
+// is measurably better — with automatic rollback when the service serves
+// a fallback tick right after a promotion.
 //
-// Determinism contract: with `trainer.time_budget_ms == 0` (the default)
-// every learner decision — how many gradient steps run, which minibatches
-// they sample, whether a tick promotes — is a pure function of
-// (LearnConfig, the live policy's tick stream). Two runs over the same
-// episode produce bit-identical candidate weights and identical promotion
-// ticks. A nonzero time budget trades that determinism for a hard latency
-// cap: steps are abandoned when the budget is exceeded, which makes the
-// step count wall-clock dependent.
+// Determinism contract: every learner decision — how many gradient steps
+// run, which minibatches they sample, whether a tick promotes — is a pure
+// function of (LearnConfig, the live policy's tick stream). Two runs over
+// the same episode produce bit-identical candidate weights and identical
+// promotion ticks. Nothing in the loop reads the wall clock except its
+// timing histograms.
 #pragma once
 
 #include <cstddef>
@@ -23,26 +21,13 @@
 
 namespace mobirescue::learn {
 
-/// Budget for the off-tick trainer. Step counts are the deterministic
-/// budget; the time budget is a safety valve (see file comment).
+/// The candidate's gradient-step budget per served tick.
 struct TrainerConfig {
-  /// Gradient steps run per training tick (0 disables training — the
+  /// Gradient steps run per served tick (0 disables training — the
   /// candidate then stays bit-identical to the live policy).
   int steps_per_tick = 2;
-  /// Training runs every Nth tick (1 = every tick).
-  int train_every_n_ticks = 1;
   /// Transitions the replay buffer must hold before the first step.
   std::size_t min_buffer = 128;
-  /// Wall-clock cap per training tick (ms); 0 = uncapped (deterministic).
-  double time_budget_ms = 0.0;
-};
-
-/// Cadence of shadow evaluation (candidate policies scored on the live
-/// tick's captured round, decisions logged, never executed).
-struct ShadowConfig {
-  int shadow_every_n_ticks = 1;
-  /// Ring capacity of the shadow decision log (per policy entries).
-  std::size_t log_capacity = 256;
 };
 
 /// The evidence-gated promotion state machine (DESIGN.md §15).
@@ -58,17 +43,12 @@ struct PromotionConfig {
   /// Strictly positive keeps a zero-improvement candidate from ever
   /// swapping weights.
   double min_td_improvement = 0.02;
-  /// Ticks after a promotion during which the ladder is watched; a
-  /// fallback tick in this window rolls the promotion back.
+  /// Ticks after a promotion during which a fallback tick rolls the
+  /// promotion back (a bad promotion is just another fault).
   int watch_window_ticks = 12;
   /// Ticks after a promotion, rollback, or rejection before the gate is
   /// evaluated again.
   int cooldown_ticks = 24;
-  /// Hard cap on promotions per learner lifetime; 0 = unlimited.
-  int max_promotions = 0;
-  /// Roll back a fresh promotion when the service serves a fallback tick
-  /// inside the watch window (a bad promotion is just another fault).
-  bool rollback_on_fallback = true;
 };
 
 struct LearnConfig {
@@ -82,7 +62,6 @@ struct LearnConfig {
   /// independent of the offline-training buffer size).
   std::size_t buffer_capacity = 4096;
   TrainerConfig trainer;
-  ShadowConfig shadow;
   PromotionConfig promotion;
 };
 

@@ -1,5 +1,6 @@
 #include "learn/learner.hpp"
 
+#include <chrono>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -31,6 +32,14 @@ std::vector<double> ReadVector(util::TextReader& in) {
   return v;
 }
 
+/// A feature row, which must be `dim` wide: a narrower or wider row would
+/// restore and then throw from the first TrainStep or gate that scores it.
+std::vector<double> ReadRow(util::TextReader& in, std::size_t dim) {
+  std::vector<double> row = ReadVector(in);
+  if (row.size() != dim) in.Fail("feature row width");
+  return row;
+}
+
 void WriteTransition(util::TextWriter& out, const rl::Transition& t) {
   out << "t " << t.reward << ' ' << (t.terminal ? 1 : 0) << ' '
       << t.duration_rounds << ' ';
@@ -39,14 +48,14 @@ void WriteTransition(util::TextWriter& out, const rl::Transition& t) {
   for (const std::vector<double>& c : t.next_candidates) WriteVector(out, c);
 }
 
-rl::Transition ReadTransition(util::TextReader& in) {
+rl::Transition ReadTransition(util::TextReader& in, std::size_t dim) {
   in.Expect("t");
   rl::Transition t;
   in >> t.reward >> t.terminal >> t.duration_rounds;
-  t.features = ReadVector(in);
+  t.features = ReadRow(in, dim);
   const std::size_t n = in.Count(kMaxCount);
   for (std::size_t i = 0; i < n; ++i) {
-    t.next_candidates.push_back(ReadVector(in));
+    t.next_candidates.push_back(ReadRow(in, dim));
   }
   return t;
 }
@@ -75,11 +84,8 @@ OnlineLearner::OnlineLearner(const LearnConfig& config,
                    promotion_.AddEvidence(t);
                    candidate_->mutable_buffer().Push(std::move(t));
                  }),
-      trainer_(config.trainer, *candidate_),
-      shadow_(config.shadow),
-      promotion_(config.promotion, *live_, *candidate_) {
-  candidate_policy_ = shadow_.AddPolicy("candidate", candidate_);
-}
+      shadow_(candidate_),
+      promotion_(config.promotion, *live_, *candidate_) {}
 
 void OnlineLearner::OnServedTick(std::uint64_t tick,
                                  const sim::DispatchContext& context,
@@ -91,13 +97,22 @@ void OnlineLearner::OnServedTick(std::uint64_t tick,
     // let the promotion ladder see the fault (rollback inside the watch
     // window).
     collector_.OnFallbackTick(context);
-    promotion_.OnTick(tick, true, shadow_.SawNonFiniteQ(candidate_policy_));
+    promotion_.OnTick(tick, true, shadow_.SawNonFiniteQ());
     return;
   }
   collector_.Observe(context, capture);
   shadow_.OnTick(tick, capture);
-  trainer_.OnTick(tick);
-  promotion_.OnTick(tick, false, shadow_.SawNonFiniteQ(candidate_policy_));
+  const int steps = config_.trainer.steps_per_tick;
+  if (steps > 0 && candidate_->buffer().size() >= config_.trainer.min_buffer) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int s = 0; s < steps; ++s) last_loss_ = candidate_->TrainStep();
+    train_steps_ += static_cast<std::uint64_t>(steps);
+    train_steps_total_.Increment(static_cast<std::uint64_t>(steps));
+    train_tick_ms_.Observe(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+  }
+  promotion_.OnTick(tick, false, shadow_.SawNonFiniteQ());
 }
 
 LearnMetrics OnlineLearner::metrics() const {
@@ -105,16 +120,15 @@ LearnMetrics OnlineLearner::metrics() const {
   m.ticks_observed = ticks_;
   m.transitions = collector_.transitions();
   m.aborted_transitions = collector_.aborted();
-  m.train_steps = trainer_.steps_run();
-  m.budget_overruns = trainer_.budget_overruns();
+  m.train_steps = train_steps_;
   m.shadow_rounds = shadow_.rounds_scored();
   m.promotions = promotion_.promotions();
   m.rollbacks = promotion_.rollbacks();
   m.rejections = promotion_.rejections();
-  m.last_loss = trainer_.last_loss();
+  m.last_loss = last_loss_;
   m.last_live_td = promotion_.last_live_td();
   m.last_candidate_td = promotion_.last_candidate_td();
-  m.shadow_agreement = shadow_.MeanAgreement(candidate_policy_);
+  m.shadow_agreement = shadow_.MeanAgreement();
   m.promotion_state = PromotionStateName(promotion_.state());
   return m;
 }
@@ -147,15 +161,15 @@ std::string OnlineLearner::SaveStateString() const {
   out << "collector-counters " << collector_.transitions() << ' '
       << collector_.aborted() << '\n';
 
-  out << "trainer-counters " << trainer_.steps_run() << ' '
-      << trainer_.budget_overruns() << ' ' << trainer_.last_loss() << '\n';
+  // The 0s are the always-0 slots (learner.hpp).
+  out << "trainer-counters " << train_steps_ << " 0 " << last_loss_ << '\n';
 
   out << "shadow " << shadow_.rounds_scored() << ' ' << shadow_.log().size()
       << '\n';
-  for (const ShadowRecord& rec : shadow_.log()) {
-    out << rec.tick << ' ' << rec.policy << ' ' << rec.agreement << ' '
-        << (rec.q_finite ? 1 : 0) << '\n';
-  }
+  shadow_.log().ForEachOldestFirst([&](const ShadowRecord& rec) {
+    out << rec.tick << " 0 " << rec.agreement << ' ' << (rec.q_finite ? 1 : 0)
+        << '\n';
+  });
 
   const PromotionController::Snapshot snap = promotion_.snapshot();
   out << "promotion " << static_cast<int>(snap.state) << ' ' << snap.watch_left
@@ -181,12 +195,13 @@ void OnlineLearner::LoadStateString(std::string_view blob) {
   in.Expect("ticks");
   in >> ticks_;
 
+  const std::size_t dim = candidate_->config().feature_dim;
   in.Expect("candidate-weights");
   const std::vector<double> online = ReadVector(in);
   in.Expect("candidate-target");
   const std::vector<double> target = ReadVector(in);
-  if (online.size() != candidate_->SaveWeights().size() ||
-      target.size() != online.size()) {
+  const std::size_t n_weights = candidate_->SaveWeights().size();
+  if (online.size() != n_weights || target.size() != n_weights) {
     in.Fail("weight count mismatch");
   }
   candidate_->LoadWeights(online);        // also syncs target...
@@ -203,7 +218,7 @@ void OnlineLearner::LoadStateString(std::string_view blob) {
   in >> pushes >> evictions;
   std::vector<rl::Transition> data;
   for (std::size_t i = 0; i < buf_size; ++i) {
-    data.push_back(ReadTransition(in));
+    data.push_back(ReadTransition(in, dim));
   }
   candidate_->mutable_buffer().Restore(std::move(data), cursor, pushes,
                                        evictions);
@@ -214,7 +229,7 @@ void OnlineLearner::LoadStateString(std::string_view blob) {
   for (std::size_t i = 0; i < teams; ++i) {
     ExperienceCollector::Pending& p = pending.emplace_back();
     in >> p.valid >> p.is_standdown >> p.accumulated >> p.rounds;
-    p.features = ReadVector(in);
+    p.features = p.valid ? ReadRow(in, dim) : ReadVector(in);
   }
   in.Expect("collector-counters");
   std::uint64_t transitions = 0, aborted = 0;
@@ -222,20 +237,19 @@ void OnlineLearner::LoadStateString(std::string_view blob) {
   collector_.RestorePending(std::move(pending), transitions, aborted);
 
   in.Expect("trainer-counters");
-  std::uint64_t steps = 0, overruns = 0;
-  double last_loss = 0.0;
-  in >> steps >> overruns >> last_loss;
-  trainer_.RestoreCounters(steps, overruns, last_loss);
+  in >> train_steps_;
+  in.Expect("0");
+  in >> last_loss_;
 
   in.Expect("shadow");
   std::uint64_t rounds_scored = 0;
   in >> rounds_scored;
-  const std::size_t log_size = in.Count(kMaxCount);
-  std::deque<ShadowRecord> log;
+  const std::size_t log_size = in.Count(ShadowPolicyRunner::kLogCapacity);
+  std::vector<ShadowRecord> log;
   for (std::size_t i = 0; i < log_size; ++i) {
     ShadowRecord& rec = log.emplace_back();
     in >> rec.tick;
-    rec.policy = in.Count(kMaxCount);
+    in.Expect("0");
     in >> rec.agreement >> rec.q_finite;
   }
   shadow_.Restore(std::move(log), rounds_scored);
@@ -254,11 +268,18 @@ void OnlineLearner::LoadStateString(std::string_view blob) {
   in.Expect("evidence");
   const std::size_t n_evidence = in.Count(kMaxCount);
   for (std::size_t i = 0; i < n_evidence; ++i) {
-    snap.evidence.push_back(ReadTransition(in));
+    snap.evidence.push_back(ReadTransition(in, dim));
   }
   in.Expect("rollback");
   snap.rollback_online = ReadVector(in);
   snap.rollback_target = ReadVector(in);
+  // Only a watching controller holds the weights a rollback restores.
+  const std::size_t n_rollback =
+      snap.state == PromotionState::kWatching ? n_weights : 0;
+  if (snap.rollback_online.size() != n_rollback ||
+      snap.rollback_target.size() != n_rollback) {
+    in.Fail("rollback weights do not fit the promotion state");
+  }
   promotion_.Restore(std::move(snap));
 
   in.Expect(kLearnEnd);

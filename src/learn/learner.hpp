@@ -4,7 +4,7 @@
 //   served tick ──> ExperienceCollector ──> candidate replay buffer
 //                                       └─> promotion evidence window
 //               ──> ShadowPolicyRunner  (candidate scored, never executed)
-//               ──> BudgetedTrainer     (candidate gradient steps)
+//               ──> candidate gradient steps (steps_per_tick, run here)
 //               ──> PromotionController (evidence gate, hot swap, rollback)
 //
 // The live agent stays frozen between promotions; all training happens on
@@ -21,7 +21,12 @@
 // The blob is built in one util::TextWriter (shortest round-trip doubles)
 // and parsed by one util::TextReader (std::from_chars, which takes those
 // and older max_digits10 digits alike, and nan/inf); no count read back
-// sizes an allocation before its elements are read.
+// sizes an allocation before its elements are read. A blob that loads can
+// serve: every stored row is feature_dim wide and the rollback weights fit
+// the promotion state. Two slots are always 0 and a load expects 0 there
+// (the middle field of trainer-counters and each shadow record's second
+// field): they keep the mobirescue-learn-v1 layout that blobs already
+// saved have.
 // Its replay-buffer section, nearly all of it, is written through the
 // buffer's per-slot text memo (rl::ReplayBuffer::AppendText), so a save
 // formats only the transitions pushed since the last save; the first save
@@ -34,11 +39,11 @@
 #include <string_view>
 
 #include "dispatch/mobirescue_dispatcher.hpp"
-#include "learn/budgeted_trainer.hpp"
 #include "learn/experience_collector.hpp"
 #include "learn/learn_config.hpp"
 #include "learn/promotion_controller.hpp"
 #include "learn/shadow_runner.hpp"
+#include "obs/metrics.hpp"
 #include "rl/dqn_agent.hpp"
 #include "sim/dispatcher.hpp"
 
@@ -50,7 +55,6 @@ struct LearnMetrics {
   std::uint64_t transitions = 0;
   std::uint64_t aborted_transitions = 0;
   std::uint64_t train_steps = 0;
-  std::uint64_t budget_overruns = 0;
   std::uint64_t shadow_rounds = 0;
   std::uint64_t promotions = 0;
   std::uint64_t rollbacks = 0;
@@ -80,16 +84,16 @@ class OnlineLearner {
 
   /// The complete dynamic state as a mobirescue-learn-v1 token blob.
   std::string SaveStateString() const;
-  /// Restores it. A blob that does not parse throws std::runtime_error;
-  /// one whose parts do not fit the candidate (util::Ring::Restore,
-  /// ml::Mlp::LoadWeights) throws std::invalid_argument.
+  /// Restores it. A blob that does not parse, or whose weights, rows or
+  /// rollback weights do not fit the agent, throws std::runtime_error; one
+  /// whose rings overflow (util::Ring::Restore) throws
+  /// std::invalid_argument.
   void LoadStateString(std::string_view blob);
 
   // Component access for tests, the demo, and operators.
   rl::DqnAgent& candidate() { return *candidate_; }
   const rl::DqnAgent& candidate() const { return *candidate_; }
   const ExperienceCollector& collector() const { return collector_; }
-  const BudgetedTrainer& trainer() const { return trainer_; }
   const ShadowPolicyRunner& shadow() const { return shadow_; }
   const PromotionController& promotion() const { return promotion_; }
   std::uint64_t ticks_observed() const { return ticks_; }
@@ -99,11 +103,18 @@ class OnlineLearner {
   std::shared_ptr<rl::DqnAgent> live_;
   std::shared_ptr<rl::DqnAgent> candidate_;
   ExperienceCollector collector_;
-  BudgetedTrainer trainer_;
   ShadowPolicyRunner shadow_;
   PromotionController promotion_;
-  std::size_t candidate_policy_ = 0;
   std::uint64_t ticks_ = 0;
+  std::uint64_t train_steps_ = 0;
+  double last_loss_ = 0.0;
+
+  obs::Counter train_steps_total_{
+      "learn_train_steps_total",
+      "Candidate-policy gradient steps run online."};
+  obs::Histogram train_tick_ms_{"learn_train_tick_ms",
+                                "Per-tick candidate training time (ms).",
+                                obs::Histogram::LatencyBucketsMs()};
 };
 
 }  // namespace mobirescue::learn

@@ -31,49 +31,19 @@ bool AllFinite(const std::vector<double>& v) {
 
 }  // namespace
 
-std::vector<obs::HealthRule> PromotionController::DefaultGateRules(
-    const PromotionConfig& config) {
-  std::vector<obs::HealthRule> rules;
-  obs::HealthRule nonfinite;
-  nonfinite.name = "candidate-nonfinite";
-  nonfinite.selector = "learn_candidate_nonfinite";
-  nonfinite.observed = true;
-  nonfinite.cmp = obs::HealthCmp::kGreaterThan;
-  nonfinite.threshold = 0.0;
-  rules.push_back(std::move(nonfinite));
-  // Strict improvement as exact sign tests: for finite doubles a and b,
-  // a − b is never rounded to zero unless a == b (gradual underflow), so
-  // "gap <= 0" is bit-identical to "!(cand < live)" and "margin > 0" to
-  // "!(cand <= live·(1−improvement))".
-  obs::HealthRule gap;
-  gap.name = "candidate-td-gap";
-  gap.selector = "learn_td_gap";
-  gap.observed = true;
-  gap.cmp = obs::HealthCmp::kLessOrEqual;
-  gap.threshold = 0.0;
-  rules.push_back(std::move(gap));
-  obs::HealthRule margin;
-  margin.name = "candidate-td-margin";
-  margin.selector = "learn_td_margin";
-  margin.observed = true;
-  margin.cmp = obs::HealthCmp::kGreaterThan;
-  margin.threshold = 0.0;
-  rules.push_back(std::move(margin));
-  if (config.rollback_on_fallback) {
-    obs::HealthRule watch;
-    watch.name = "watch-fallback";
-    watch.selector = "learn_watch_fallback";
-    watch.observed = true;
-    watch.cmp = obs::HealthCmp::kGreaterThan;
-    watch.threshold = 0.0;
-    rules.push_back(std::move(watch));
-  }
-  return rules;
+const char* PromotionController::GateVerdict(bool nonfinite, double live_td,
+                                             double candidate_td,
+                                             double min_td_improvement) {
+  if (nonfinite) return "candidate-nonfinite";
+  const double gap = live_td - candidate_td;
+  if (!std::isfinite(gap) || gap <= 0.0) return "candidate-td-gap";
+  const double margin = candidate_td - live_td * (1.0 - min_td_improvement);
+  if (!std::isfinite(margin) || margin > 0.0) return "candidate-td-margin";
+  return nullptr;
 }
 
 void PromotionController::AddEvidence(rl::Transition t) {
-  evidence_.push_back(std::move(t));
-  while (evidence_.size() > config_.evidence_window) evidence_.pop_front();
+  evidence_.Push(std::move(t));
   if (state_ == PromotionState::kWarmup &&
       evidence_.size() >= config_.min_evidence) {
     state_ = PromotionState::kEvaluating;
@@ -81,15 +51,16 @@ void PromotionController::AddEvidence(rl::Transition t) {
 }
 
 double PromotionController::MeanTdError(
-    const rl::DqnAgent& agent, const std::deque<rl::Transition>& window) {
+    const rl::DqnAgent& agent, const util::Ring<rl::Transition>& window) {
   if (window.empty()) return 0.0;
-  // One batched Q pass over the window: row i is transition i's features,
-  // and the next-candidate rows of every bootstrapping transition follow
-  // in window order. A row scores the same bits in any batch (DESIGN.md
-  // §10.1), so this equals scoring each transition on its own.
+  // One batched Q pass over the window: row i is the i-th oldest
+  // transition's features, and the next-candidate rows of every
+  // bootstrapping transition follow in the same order. A row scores the
+  // same bits in any batch (DESIGN.md §10.1), so this equals scoring each
+  // transition on its own.
   const std::size_t dim = agent.config().feature_dim;
   std::size_t rows = window.size();
-  for (const rl::Transition& t : window) {
+  for (const rl::Transition& t : window.data()) {
     if (!t.terminal) rows += t.next_candidates.size();
   }
   ml::Matrix batch(rows, dim);
@@ -100,18 +71,19 @@ double PromotionController::MeanTdError(
     }
     out = std::copy(row.begin(), row.end(), out);
   };
-  for (const rl::Transition& t : window) pack(t.features);
-  for (const rl::Transition& t : window) {
-    if (t.terminal) continue;
+  window.ForEachOldestFirst(
+      [&](const rl::Transition& t) { pack(t.features); });
+  window.ForEachOldestFirst([&](const rl::Transition& t) {
+    if (t.terminal) return;
     for (const std::vector<double>& c : t.next_candidates) pack(c);
-  }
+  });
   const std::vector<double> q = agent.QValues(batch);
 
   const double gamma = agent.config().gamma;
   double sum = 0.0;
+  std::size_t i = 0;
   std::size_t next = window.size();
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const rl::Transition& t = window[i];
+  window.ForEachOldestFirst([&](const rl::Transition& t) {
     double y = t.reward;
     if (!t.terminal && !t.next_candidates.empty()) {
       const std::size_t end = next + t.next_candidates.size();
@@ -121,8 +93,8 @@ double PromotionController::MeanTdError(
       }
       y += std::pow(gamma, std::max(1, t.duration_rounds)) * best;
     }
-    sum += std::abs(y - q[i]);
-  }
+    sum += std::abs(y - q[i++]);
+  });
   return sum / static_cast<double>(window.size());
 }
 
@@ -132,46 +104,30 @@ void PromotionController::EvaluateGate(std::uint64_t tick,
   last_candidate_td_ = MeanTdError(candidate_, evidence_);
 
   // Hard rejections: a candidate that produces garbage anywhere must never
-  // reach the live path, whatever its TD error claims. Fed to the engine
-  // as one observation; a NaN TD would also trip the margin rules on
-  // their own (non-finite samples fail closed).
+  // reach the live path, whatever its TD error claims.
   const bool nonfinite = candidate_q_nonfinite ||
                          !AllFinite(candidate_.SaveWeights()) ||
                          !AllFinite(candidate_.SaveTargetWeights()) ||
                          !std::isfinite(last_candidate_td_) ||
                          !std::isfinite(last_live_td_);
-  gate_.Observe("learn_candidate_nonfinite", nonfinite ? 1.0 : 0.0);
-  gate_.Observe("learn_td_gap", last_live_td_ - last_candidate_td_);
-  gate_.Observe("learn_td_margin",
-                last_candidate_td_ -
-                    last_live_td_ * (1.0 - config_.min_td_improvement));
-  // A gate evaluation is not a watch tick: clear the watch signal so a
-  // rollback in some earlier watch window cannot veto this candidate.
-  gate_.Observe("learn_watch_fallback", 0.0);
-  const obs::HealthVerdict& verdict = gate_.Evaluate();
-  const bool capped =
-      config_.max_promotions > 0 &&
-      promotions_ >= static_cast<std::uint64_t>(config_.max_promotions);
-
-  if (verdict.healthy && !capped) {
+  const char* tripped = GateVerdict(nonfinite, last_live_td_,
+                                    last_candidate_td_,
+                                    config_.min_td_improvement);
+  if (tripped == nullptr) {
     Promote(tick);
-  } else {
-    ++rejections_;
-    rejections_total_.Increment();
-    char attrs[160];
-    std::snprintf(attrs, sizeof(attrs),
-                  "tick=%llu tripped=%s live_td=%.6g cand_td=%.6g",
-                  static_cast<unsigned long long>(tick),
-                  capped ? "promotion-cap"
-                         : (verdict.tripped.empty()
-                                ? "none"
-                                : verdict.tripped.front().c_str()),
-                  last_live_td_, last_candidate_td_);
-    obs::FlightRecorder::Global().Emit(obs::Severity::kInfo, "learn",
-                                       "gate_rejection", attrs);
-    state_ = PromotionState::kCooldown;
-    cooldown_left_ = config_.cooldown_ticks;
+    return;
   }
+  ++rejections_;
+  rejections_total_.Increment();
+  char attrs[160];
+  std::snprintf(attrs, sizeof(attrs),
+                "tick=%llu tripped=%s live_td=%.6g cand_td=%.6g",
+                static_cast<unsigned long long>(tick), tripped, last_live_td_,
+                last_candidate_td_);
+  obs::FlightRecorder::Global().Emit(obs::Severity::kInfo, "learn",
+                                     "gate_rejection", attrs);
+  state_ = PromotionState::kCooldown;
+  cooldown_left_ = config_.cooldown_ticks;
 }
 
 void PromotionController::Promote(std::uint64_t tick) {
@@ -223,25 +179,16 @@ void PromotionController::OnTick(std::uint64_t tick, bool used_fallback,
         EvaluateGate(tick, candidate_q_nonfinite);
       }
       break;
-    case PromotionState::kWatching: {
-      // Bit-identity with the pre-§16 inline check: the watch-fallback
-      // rule exists iff rollback_on_fallback, trips iff the observation
-      // is > 0, and the other gate observations are stale from the
-      // promoting evaluation (which passed, so they cannot trip).
-      gate_.Observe("learn_watch_fallback", used_fallback ? 1.0 : 0.0);
-      const obs::HealthVerdict& watch = gate_.Evaluate();
-      if (watch.Tripped("watch-fallback")) {
+    case PromotionState::kWatching:
+      if (used_fallback) {
         Rollback();
-        break;
-      }
-      if (--watch_left_ <= 0) {
+      } else if (--watch_left_ <= 0) {
         rollback_online_.clear();
         rollback_target_.clear();
         state_ = PromotionState::kCooldown;
         cooldown_left_ = config_.cooldown_ticks;
       }
       break;
-    }
     case PromotionState::kCooldown:
       if (--cooldown_left_ <= 0) state_ = PromotionState::kEvaluating;
       break;
@@ -254,7 +201,9 @@ PromotionController::Snapshot PromotionController::snapshot() const {
   s.state = state_;
   s.watch_left = watch_left_;
   s.cooldown_left = cooldown_left_;
-  s.evidence = evidence_;
+  s.evidence.reserve(evidence_.size());
+  evidence_.ForEachOldestFirst(
+      [&](const rl::Transition& t) { s.evidence.push_back(t); });
   s.promotions = promotions_;
   s.rollbacks = rollbacks_;
   s.rejections = rejections_;
@@ -267,10 +216,12 @@ PromotionController::Snapshot PromotionController::snapshot() const {
 }
 
 void PromotionController::Restore(Snapshot s) {
+  // First: the only call that can throw, so a rejected snapshot changes
+  // nothing.
+  evidence_.Restore(std::move(s.evidence), 0, 0);
   state_ = s.state;
   watch_left_ = s.watch_left;
   cooldown_left_ = s.cooldown_left;
-  evidence_ = std::move(s.evidence);
   promotions_ = s.promotions;
   rollbacks_ = s.rollbacks;
   rejections_ = s.rejections;

@@ -6,7 +6,7 @@
 //   kWarmup ──(evidence >= min_evidence)──> kEvaluating
 //   kEvaluating ──(gate passes)──> promote, kWatching
 //   kEvaluating ──(gate evaluated, fails)──> kCooldown
-//   kWatching ──(fallback tick, rollback_on_fallback)──> rollback, kCooldown
+//   kWatching ──(fallback tick)──> rollback, kCooldown
 //   kWatching ──(watch window survived)──> kCooldown
 //   kCooldown ──(cooldown_ticks elapsed)──> kEvaluating
 //
@@ -17,31 +17,23 @@
 // and the gate demands a strictly positive relative improvement, so a
 // zero-improvement candidate can never swap weights. Non-finite candidate
 // weights, non-finite TD, or a non-finite shadow Q reject outright.
+// GateVerdict holds the three checks in plain code; the learn tests check
+// it against the health-engine rules it replaced (DESIGN.md §16.3).
 //
 // Promotion hot-swaps weights through DqnAgent::LoadWeights /
 // LoadTargetWeights and snapshots the pre-promotion live weights; a
 // fallback tick inside the watch window restores them (a bad promotion is
 // handled like any other fault: detect, revert, cool down).
-//
-// Since DESIGN.md §16 the gate's predicates are obs::HealthRule data
-// evaluated by an obs::HealthEngine, not inline comparisons: the
-// controller observes the finiteness verdict, the TD gap (live − cand)
-// and the TD margin (cand − live·(1−improvement)) into the engine and
-// promotes iff the verdict is healthy. DefaultGateRules reproduces the
-// old hardcoded gate bit-identically (the margin rules compare exact
-// IEEE subtraction signs, and non-finite samples fail closed) — the learn
-// tests prove it. A custom rule set swaps the whole gate.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "learn/learn_config.hpp"
-#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "rl/dqn_agent.hpp"
 #include "rl/replay_buffer.hpp"
+#include "util/ring.hpp"
 
 namespace mobirescue::learn {
 
@@ -53,30 +45,22 @@ class PromotionController {
  public:
   PromotionController(const PromotionConfig& config, rl::DqnAgent& live,
                       rl::DqnAgent& candidate)
-      : PromotionController(config, live, candidate,
-                            DefaultGateRules(config)) {}
-
-  /// Custom gate: `gate_rules` replace DefaultGateRules entirely. The
-  /// controller observes "learn_candidate_nonfinite", "learn_td_gap",
-  /// "learn_td_margin" before each gate evaluation and
-  /// "learn_watch_fallback" on watch ticks; rules select those keys (or
-  /// any registry metric).
-  PromotionController(const PromotionConfig& config, rl::DqnAgent& live,
-                      rl::DqnAgent& candidate,
-                      std::vector<obs::HealthRule> gate_rules)
       : config_(config),
         live_(live),
         candidate_(candidate),
-        gate_(std::move(gate_rules)) {}
+        evidence_(config.evidence_window) {}
 
-  /// The rule set reproducing the hardcoded pre-§16 gate bit-identically:
-  /// candidate-nonfinite (> 0 trips), candidate-td-gap (live − cand <= 0
-  /// trips: no strict improvement), candidate-td-margin (cand −
-  /// live·(1−min_td_improvement) > 0 trips: improvement below the bar),
-  /// and — when config.rollback_on_fallback — watch-fallback (> 0 trips a
-  /// watch-window rollback).
-  static std::vector<obs::HealthRule> DefaultGateRules(
-      const PromotionConfig& config);
+  /// The gate: the name of the first check that fails, or nullptr when
+  /// the candidate may be promoted. In order: "candidate-nonfinite"
+  /// (`nonfinite`), "candidate-td-gap" (live − cand is not > 0: no strict
+  /// improvement) and "candidate-td-margin" (cand −
+  /// live·(1 − min_td_improvement) is not <= 0: improvement below the
+  /// bar). A non-finite gap or margin fails its check. For finite doubles
+  /// a − b is 0 only when a == b (gradual underflow), so these sign tests
+  /// are exactly `cand < live` and `cand <= live·(1 − improvement)`.
+  static const char* GateVerdict(bool nonfinite, double live_td,
+                                 double candidate_td,
+                                 double min_td_improvement);
 
   /// Feeds one closed transition into the sliding evidence window.
   void AddEvidence(rl::Transition t);
@@ -96,23 +80,21 @@ class PromotionController {
     return promotion_ticks_;
   }
   std::size_t evidence_size() const { return evidence_.size(); }
-  /// TD errors from the most recent gate evaluation (NaN before the first).
+  /// TD errors from the most recent gate evaluation (0 before the first).
   double last_live_td() const { return last_live_td_; }
   double last_candidate_td() const { return last_candidate_td_; }
-  /// The gate's health engine (last verdict, trip counts).
-  const obs::HealthEngine& gate() const { return gate_; }
 
-  /// Mean TD error of `agent` over `window` (its own online net scores
-  /// both the prediction and the bootstrap). Public for tests.
+  /// Mean TD error of `agent` over `window`, oldest first (its own online
+  /// net scores both the prediction and the bootstrap). Public for tests.
   static double MeanTdError(const rl::DqnAgent& agent,
-                            const std::deque<rl::Transition>& window);
+                            const util::Ring<rl::Transition>& window);
 
   /// Complete controller state for checkpointing.
   struct Snapshot {
     PromotionState state = PromotionState::kWarmup;
     int watch_left = 0;
     int cooldown_left = 0;
-    std::deque<rl::Transition> evidence;
+    std::vector<rl::Transition> evidence;  // oldest first
     std::uint64_t promotions = 0;
     std::uint64_t rollbacks = 0;
     std::uint64_t rejections = 0;
@@ -123,6 +105,7 @@ class PromotionController {
     double last_candidate_td = 0.0;
   };
   Snapshot snapshot() const;
+  /// Throws std::invalid_argument when the evidence exceeds the window.
   void Restore(Snapshot s);
 
  private:
@@ -133,12 +116,11 @@ class PromotionController {
   PromotionConfig config_;
   rl::DqnAgent& live_;
   rl::DqnAgent& candidate_;
-  obs::HealthEngine gate_;
 
   PromotionState state_ = PromotionState::kWarmup;
   int watch_left_ = 0;
   int cooldown_left_ = 0;
-  std::deque<rl::Transition> evidence_;
+  util::Ring<rl::Transition> evidence_;
   std::uint64_t promotions_ = 0;
   std::uint64_t rollbacks_ = 0;
   std::uint64_t rejections_ = 0;

@@ -106,20 +106,6 @@ std::vector<double> DqnAgent::QValues(const ml::Matrix& rows) const {
   return online_.PredictBatch(rows).data();
 }
 
-double DqnAgent::MaxTargetQ(
-    const std::vector<std::vector<double>>& candidates) const {
-  if (candidates.empty()) {
-    throw std::invalid_argument("MaxTargetQ: no candidates");
-  }
-  const ml::Matrix q =
-      target_.PredictBatch(PackRows(candidates, config_.feature_dim));
-  double best = q(0, 0);
-  for (std::size_t i = 1; i < q.rows(); ++i) {
-    if (q(i, 0) > best) best = q(i, 0);
-  }
-  return best;
-}
-
 double DqnAgent::TrainStep() {
   if (buffer_.size() < config_.batch_size) return 0.0;
   OBS_SPAN("dqn.train_step");

@@ -66,11 +66,6 @@ class DqnAgent {
   /// Uniform random action index in [0, n).
   std::size_t RandomAction(std::size_t n) { return rng_.Index(n); }
 
-  /// max_a Q_target(s, a) over the candidate set, from one batched forward
-  /// pass. Throws on an empty candidate set — a silent 0.0 floor would
-  /// corrupt targets for all-negative-Q candidate sets.
-  double MaxTargetQ(const std::vector<std::vector<double>>& candidates) const;
-
   void Push(Transition t) { buffer_.Push(std::move(t)); }
 
   /// One minibatch gradient step; returns the loss (0 when the buffer is

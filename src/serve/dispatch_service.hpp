@@ -52,9 +52,6 @@ namespace mobirescue::serve {
 class TraceStreamer;
 
 struct ServiceConfig {
-  /// Dispatch tick cadence (informational; when driven by a simulator the
-  /// simulator's dispatch_period_s rules).
-  double tick_period_s = 300.0;
   IngestQueueConfig queue;
   StreamStateConfig state;
   /// Per-tick Decide() wall-time budget (ms); a tick exceeding it degrades

@@ -43,6 +43,13 @@ class Ring {
 
   /// Stored elements in slot order (not age order once the ring wrapped).
   const std::vector<T>& data() const { return data_; }
+  /// Calls `fn` on every stored element, oldest first.
+  template <typename Fn>
+  void ForEachOldestFirst(Fn&& fn) const {
+    const std::size_t split = oldest_ < data_.size() ? oldest_ : data_.size();
+    for (std::size_t i = split; i < data_.size(); ++i) fn(data_[i]);
+    for (std::size_t i = 0; i < split; ++i) fn(data_[i]);
+  }
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
   std::size_t capacity() const { return capacity_; }

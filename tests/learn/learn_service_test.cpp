@@ -298,7 +298,7 @@ TEST_F(LearnServiceTest, NaNPoisonedCandidateIsNeverPromoted) {
   EXPECT_EQ(metrics.learn.promotions, 0u);
   EXPECT_GT(metrics.learn.rejections, 0u);
   // The shadow runner flagged the non-finite Q output...
-  EXPECT_TRUE(service.learner()->shadow().SawNonFiniteQ(0));
+  EXPECT_TRUE(service.learner()->shadow().SawNonFiniteQ());
   // ...and the poisoned policy's decisions never reached the simulator:
   // the live agent is untouched and the day is the frozen-policy day.
   EXPECT_EQ(live->SaveWeights(), original);

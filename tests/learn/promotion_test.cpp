@@ -1,16 +1,24 @@
 // PromotionController state machine and gate semantics over small synthetic
-// agents, BudgetedTrainer budgets and ShadowPolicyRunner scoring.
+// agents (the gate checked against the obs::HealthEngine rules it
+// replaced), the OnlineLearner's step budget and ShadowPolicyRunner
+// scoring.
 #include "learn/promotion_controller.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "learn/budgeted_trainer.hpp"
+#include "learn/learner.hpp"
 #include "learn/shadow_runner.hpp"
+#include "obs/health.hpp"
 #include "rl/dqn_agent.hpp"
 #include "rl/replay_buffer.hpp"
+#include "util/ring.hpp"
 
 namespace mobirescue::learn {
 namespace {
@@ -84,8 +92,8 @@ TEST(PromotionControllerTest, BetterCandidatePromotesThenRollsBackOnFault) {
   // Train the candidate on the same evidence until its TD error on the
   // window beats the live network's by the gate margin.
   for (int i = 0; i < 64; ++i) candidate.Push(MakeTransition(0.1 * (i % 8)));
-  std::deque<rl::Transition> window;
-  for (int i = 0; i < 8; ++i) window.push_back(MakeTransition(0.1 * (i + 1)));
+  util::Ring<rl::Transition> window(8);
+  for (int i = 0; i < 8; ++i) window.Push(MakeTransition(0.1 * (i + 1)));
   for (int step = 0; step < 400; ++step) {
     candidate.TrainStep();
     if (PromotionController::MeanTdError(candidate, window) <
@@ -111,79 +119,109 @@ TEST(PromotionControllerTest, BetterCandidatePromotesThenRollsBackOnFault) {
   EXPECT_EQ(live.SaveWeights(), pre_promotion);
 }
 
-TEST(PromotionControllerTest, DefaultGateRulesMatchTheImplicitGate) {
-  // DESIGN.md §16: the 4-arg ctor given DefaultGateRules(config) must walk
-  // the state machine exactly like the 3-arg ctor — same rejections, same
-  // promotion tick, same watch-window rollback. Two identically seeded
-  // agent pairs, one controller each, driven by the same script.
-  const PromotionConfig config = FastGate();
-  rl::DqnAgent live_a(TinyConfig(11));
-  rl::DqnAgent cand_a(TinyConfig(12));
-  rl::DqnAgent live_b(TinyConfig(11));
-  rl::DqnAgent cand_b(TinyConfig(12));
-  PromotionController implicit_gate(config, live_a, cand_a);
-  PromotionController explicit_gate(
-      config, live_b, cand_b, PromotionController::DefaultGateRules(config));
-  Feed(implicit_gate, 8);
-  Feed(explicit_gate, 8);
-
-  auto step = [&](std::uint64_t tick, bool fallback, bool nonfinite) {
-    implicit_gate.OnTick(tick, fallback, nonfinite);
-    explicit_gate.OnTick(tick, fallback, nonfinite);
-    ASSERT_EQ(implicit_gate.state(), explicit_gate.state()) << "tick " << tick;
-    ASSERT_EQ(implicit_gate.promotions(), explicit_gate.promotions());
-    ASSERT_EQ(implicit_gate.rejections(), explicit_gate.rejections());
-    ASSERT_EQ(implicit_gate.rollbacks(), explicit_gate.rollbacks());
+/// The gate's three checks as the obs::HealthEngine rules that held them
+/// before GateVerdict: subtraction-sign rules over observed values, with
+/// the engine's fail-closed rule for a non-finite sample.
+std::vector<obs::HealthRule> OldGateRules() {
+  const auto rule = [](const char* name, const char* key, obs::HealthCmp cmp) {
+    obs::HealthRule r;
+    r.name = name;
+    r.selector = key;
+    r.observed = true;
+    r.cmp = cmp;
+    r.threshold = 0.0;
+    return r;
   };
+  return {rule("candidate-nonfinite", "learn_candidate_nonfinite",
+               obs::HealthCmp::kGreaterThan),
+          rule("candidate-td-gap", "learn_td_gap", obs::HealthCmp::kLessOrEqual),
+          rule("candidate-td-margin", "learn_td_margin",
+               obs::HealthCmp::kGreaterThan)};
+}
 
-  // Phase 1: a nonfinite shadow verdict, then equal-weights evaluations —
-  // every gate pass is a rejection plus its cooldown, in lockstep.
-  step(1, false, true);
-  for (std::uint64_t tick = 2; tick <= 8; ++tick) step(tick, false, false);
-  EXPECT_GT(implicit_gate.rejections(), 0u);
-  EXPECT_EQ(implicit_gate.promotions(), 0u);
-
-  // Phase 2: train one candidate past the gate margin and mirror its
-  // weights into the other pair, so both gates see the same evidence.
-  for (int i = 0; i < 64; ++i) cand_a.Push(MakeTransition(0.1 * (i % 8)));
-  std::deque<rl::Transition> window;
-  for (int i = 0; i < 8; ++i) window.push_back(MakeTransition(0.1 * (i + 1)));
-  for (int step_i = 0; step_i < 400; ++step_i) {
-    cand_a.TrainStep();
-    if (PromotionController::MeanTdError(cand_a, window) <
-        0.9 * PromotionController::MeanTdError(live_a, window)) {
-      break;
+TEST(PromotionControllerTest, GateVerdictMatchesTheOldHealthRules) {
+  constexpr double kImprovement = 0.02;
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Around the 2% bar (live 1: the bar is 0.98), the smallest and largest
+  // magnitudes, and every non-finite value.
+  const std::vector<double> tds = {0.0,
+                                   kDenormMin,
+                                   -kDenormMin,
+                                   0.97,
+                                   std::nextafter(0.98, 0.0),
+                                   0.98,
+                                   std::nextafter(0.98, 1.0),
+                                   0.99,
+                                   1.0,
+                                   1e308,
+                                   kInf,
+                                   -kInf,
+                                   std::numeric_limits<double>::quiet_NaN()};
+  obs::HealthEngine reference(OldGateRules());
+  int cases = 0, promoted = 0;
+  for (const bool nonfinite : {false, true}) {
+    for (const double live : tds) {
+      for (const double cand : tds) {
+        reference.Observe("learn_candidate_nonfinite", nonfinite ? 1.0 : 0.0);
+        reference.Observe("learn_td_gap", live - cand);
+        reference.Observe("learn_td_margin",
+                          cand - live * (1.0 - kImprovement));
+        const obs::HealthVerdict& want = reference.Evaluate();
+        const char* got = PromotionController::GateVerdict(nonfinite, live,
+                                                           cand, kImprovement);
+        SCOPED_TRACE(::testing::Message() << "nonfinite " << nonfinite
+                                          << " live " << live << " cand "
+                                          << cand);
+        ++cases;
+        if (want.healthy) {
+          EXPECT_EQ(got, nullptr) << got;
+          ++promoted;
+        } else {
+          ASSERT_NE(got, nullptr);
+          EXPECT_EQ(std::string(got), want.tripped.front());
+        }
+      }
     }
   }
-  ASSERT_LT(PromotionController::MeanTdError(cand_a, window),
-            0.98 * PromotionController::MeanTdError(live_a, window))
-      << "training failed to beat the frozen live net on synthetic data";
-  cand_b.LoadWeights(cand_a.SaveWeights());
-  cand_b.LoadTargetWeights(cand_a.SaveTargetWeights());
+  EXPECT_EQ(cases, 338);
+  EXPECT_GT(promoted, 0);
+  // The bar itself, read as plain comparisons.
+  EXPECT_STREQ(PromotionController::GateVerdict(false, 1.0, 1.0, kImprovement),
+               "candidate-td-gap");
+  EXPECT_STREQ(PromotionController::GateVerdict(false, 1.0, 0.99, kImprovement),
+               "candidate-td-margin");
+  EXPECT_EQ(PromotionController::GateVerdict(false, 1.0, 0.97, kImprovement),
+            nullptr);
+}
 
-  // Phase 3: ride out any remaining cooldown, promote, then roll back on a
-  // watch-window fallback tick — still in lockstep.
-  std::uint64_t tick = 9;
-  while (implicit_gate.promotions() == 0 && tick < 20) {
-    step(tick++, false, false);
+TEST(PromotionControllerTest, MeanTdErrorOfAWrappedRingMatchesAFreshRing) {
+  // A wrapped window must score its transitions oldest first, exactly as a
+  // ring that never wrapped holds them. Rewards of mixed magnitudes make
+  // the floating-point sum depend on that order.
+  rl::DqnAgent agent(TinyConfig(17));
+  constexpr std::size_t kWindow = 8;
+  const auto transition = [](std::size_t i) {
+    rl::Transition t = MakeTransition(0.1 * static_cast<double>(i % 5));
+    t.reward = std::pow(10.0, static_cast<double>(i % 7) - 3.0) *
+               (1.0 + 0.123 * static_cast<double>(i));
+    t.terminal = i % 3 == 0;
+    t.duration_rounds = 1 + static_cast<int>(i % 4);
+    return t;
+  };
+  for (std::size_t pushes = kWindow; pushes < 4 * kWindow; ++pushes) {
+    util::Ring<rl::Transition> wrapped(kWindow);
+    for (std::size_t i = 0; i < pushes; ++i) wrapped.Push(transition(i));
+    util::Ring<rl::Transition> fresh(kWindow);
+    for (std::size_t i = pushes - kWindow; i < pushes; ++i) {
+      fresh.Push(transition(i));
+    }
+    ASSERT_EQ(fresh.oldest(), 0u);
+    const double a = PromotionController::MeanTdError(agent, wrapped);
+    const double b = PromotionController::MeanTdError(agent, fresh);
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+        << pushes << " pushes: " << a << " vs " << b;
   }
-  ASSERT_EQ(implicit_gate.promotions(), 1u);
-  ASSERT_EQ(implicit_gate.state(), PromotionState::kWatching);
-  EXPECT_EQ(live_a.SaveWeights(), live_b.SaveWeights());
-  step(tick, /*fallback=*/true, false);
-  EXPECT_EQ(implicit_gate.rollbacks(), 1u);
-  EXPECT_EQ(implicit_gate.state(), PromotionState::kCooldown);
-  EXPECT_EQ(live_a.SaveWeights(), live_b.SaveWeights());
-
-  // The two gates evaluated the same number of times and agree on the TD
-  // readings of the last evaluation, bit for bit.
-  EXPECT_EQ(implicit_gate.gate().evaluations(),
-            explicit_gate.gate().evaluations());
-  EXPECT_EQ(implicit_gate.gate().trips(), explicit_gate.gate().trips());
-  EXPECT_DOUBLE_EQ(implicit_gate.last_live_td(),
-                   explicit_gate.last_live_td());
-  EXPECT_DOUBLE_EQ(implicit_gate.last_candidate_td(),
-                   explicit_gate.last_candidate_td());
 }
 
 TEST(PromotionControllerTest, NonFiniteCandidateIsRejected) {
@@ -235,30 +273,40 @@ TEST(PromotionControllerTest, SnapshotRoundTripsMidWatchState) {
   EXPECT_EQ(restored.promotion_ticks(), pc.promotion_ticks());
 }
 
-TEST(BudgetedTrainerTest, StepBudgetIsDeterministicAndGated) {
-  rl::DqnAgent candidate(TinyConfig(21));
-  TrainerConfig cfg;
-  cfg.steps_per_tick = 3;
-  cfg.train_every_n_ticks = 2;
-  cfg.min_buffer = 16;
-  BudgetedTrainer trainer(cfg, candidate);
+TEST(OnlineLearnerTest, StepBudgetIsDeterministicAndGated) {
+  // A served tick with no teams and no scored round: the collector and the
+  // shadow runner have nothing to do, so the tick's work is the step
+  // budget.
+  const sim::DispatchContext context;
+  const dispatch::RoundCapture capture;
+  LearnConfig cfg;
+  cfg.enabled = true;
+  cfg.trainer.steps_per_tick = 3;
+  cfg.trainer.min_buffer = 16;
+  OnlineLearner learner(cfg, dispatch::RewardWeights{},
+                        std::make_shared<rl::DqnAgent>(TinyConfig(21)));
 
   // Below min_buffer: no steps.
-  EXPECT_EQ(trainer.OnTick(2), 0);
-  for (int i = 0; i < 32; ++i) candidate.Push(MakeTransition(0.1 * i));
-  // Off-cadence tick: no steps.
-  EXPECT_EQ(trainer.OnTick(3), 0);
-  // On-cadence: exactly the step budget.
-  EXPECT_EQ(trainer.OnTick(4), 3);
-  EXPECT_EQ(trainer.steps_run(), 3u);
-  EXPECT_EQ(candidate.train_steps(), 3u);
-  EXPECT_EQ(trainer.budget_overruns(), 0u);
+  learner.OnServedTick(1, context, capture, false);
+  EXPECT_EQ(learner.metrics().train_steps, 0u);
+  for (int i = 0; i < 32; ++i) {
+    learner.candidate().mutable_buffer().Push(MakeTransition(0.1 * i));
+  }
+  // Exactly the step budget.
+  learner.OnServedTick(2, context, capture, false);
+  EXPECT_EQ(learner.metrics().train_steps, 3u);
+  EXPECT_EQ(learner.candidate().train_steps(), 3u);
 
   // steps_per_tick = 0 disables training entirely.
-  TrainerConfig off;
-  off.steps_per_tick = 0;
-  BudgetedTrainer disabled(off, candidate);
-  EXPECT_EQ(disabled.OnTick(4), 0);
+  LearnConfig off = cfg;
+  off.trainer.steps_per_tick = 0;
+  OnlineLearner disabled(off, dispatch::RewardWeights{},
+                         std::make_shared<rl::DqnAgent>(TinyConfig(21)));
+  for (int i = 0; i < 32; ++i) {
+    disabled.candidate().mutable_buffer().Push(MakeTransition(0.1 * i));
+  }
+  disabled.OnServedTick(2, context, capture, false);
+  EXPECT_EQ(disabled.metrics().train_steps, 0u);
 }
 
 TEST(ShadowRunnerTest, AgreesWithItselfAndFlagsNonFiniteQ) {
@@ -267,9 +315,7 @@ TEST(ShadowRunnerTest, AgreesWithItselfAndFlagsNonFiniteQ) {
   rl::DqnConfig wide = TinyConfig(31);
   wide.feature_dim = 11;
   auto agent = std::make_shared<rl::DqnAgent>(wide);
-  ShadowConfig cfg;
-  ShadowPolicyRunner runner(cfg);
-  const std::size_t idx = runner.AddPolicy("self", agent);
+  ShadowPolicyRunner runner(agent);
 
   // A capture whose live actions were produced by this same agent: shadow
   // scoring must reproduce them (agreement 1.0). Build it by scoring rows
@@ -303,18 +349,18 @@ TEST(ShadowRunnerTest, AgreesWithItselfAndFlagsNonFiniteQ) {
 
   runner.OnTick(1, cap);
   ASSERT_EQ(runner.log().size(), 1u);
-  EXPECT_DOUBLE_EQ(runner.log().back().agreement, 1.0);
-  EXPECT_TRUE(runner.log().back().q_finite);
-  EXPECT_FALSE(runner.SawNonFiniteQ(idx));
-  EXPECT_DOUBLE_EQ(runner.MeanAgreement(idx), 1.0);
+  EXPECT_DOUBLE_EQ(runner.log().data().back().agreement, 1.0);
+  EXPECT_TRUE(runner.log().data().back().q_finite);
+  EXPECT_FALSE(runner.SawNonFiniteQ());
+  EXPECT_DOUBLE_EQ(runner.MeanAgreement(), 1.0);
 
   // Poison the policy: the round is flagged, not crashed.
   std::vector<double> poison = agent->SaveWeights();
   for (double& w : poison) w = std::nan("");
   agent->LoadWeights(poison);
   runner.OnTick(2, cap);
-  EXPECT_FALSE(runner.log().back().q_finite);
-  EXPECT_TRUE(runner.SawNonFiniteQ(idx));
+  EXPECT_FALSE(runner.log().data().back().q_finite);
+  EXPECT_TRUE(runner.SawNonFiniteQ());
 }
 
 }  // namespace

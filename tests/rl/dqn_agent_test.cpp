@@ -82,8 +82,11 @@ TEST(DqnAgentTest, LearnsBanditRewards) {
 }
 
 TEST(DqnAgentTest, BootstrapUsesDiscountedNextValue) {
-  // One-step chain: s0 (reward 0) -> s1 with known terminal reward 1.
-  // With gamma=0.5, Q(s0) should approach ~0.5 * Q(s1) ~ 0.5.
+  // One-step chains: s0 (reward 0) -> s1 with known terminal reward 1, and
+  // s2 (reward 0) -> s3 with terminal reward -1. With gamma=0.5, Q(s0)
+  // should approach ~0.5 * Q(s1) ~ 0.5 and Q(s2) ~ -0.5: s2's candidate
+  // set is all-negative, so a bootstrap max that started at 0 would floor
+  // its target at 0.
   DqnConfig config = SmallConfig();
   config.gamma = 0.5;
   config.target_sync_every = 25;
@@ -101,10 +104,25 @@ TEST(DqnAgentTest, BootstrapUsesDiscountedNextValue) {
     chain.next_candidates = {{1.0, 0.0, 0.0}};
     chain.duration_rounds = 1;
     agent.Push(std::move(chain));
+
+    Transition loss;
+    loss.features = {0.0, 0.0, 1.0};
+    loss.reward = -1.0;
+    loss.terminal = true;
+    agent.Push(std::move(loss));
+
+    Transition to_loss;
+    to_loss.features = {0.0, 1.0, 1.0};
+    to_loss.reward = 0.0;
+    to_loss.next_candidates = {{0.0, 0.0, 1.0}, {0.0, 0.0, 1.0}};
+    to_loss.duration_rounds = 1;
+    agent.Push(std::move(to_loss));
   }
   for (int i = 0; i < 1500; ++i) agent.TrainStep();
   EXPECT_NEAR(agent.QValue(std::vector<double>{1.0, 0.0, 0.0}), 1.0, 0.3);
   EXPECT_NEAR(agent.QValue(std::vector<double>{0.0, 1.0, 0.0}), 0.5, 0.3);
+  EXPECT_NEAR(agent.QValue(std::vector<double>{0.0, 0.0, 1.0}), -1.0, 0.3);
+  EXPECT_NEAR(agent.QValue(std::vector<double>{0.0, 1.0, 1.0}), -0.5, 0.3);
 }
 
 TEST(DqnAgentTest, DurationDiscountsMore) {

@@ -1,10 +1,9 @@
-// Parity and isolation tests for the batched DQN scoring paths: greedy
-// SelectAction and MaxTargetQ must match a per-row scalar scan bit for
-// bit, MaxTargetQ must reject empty candidate sets instead of flooring at
-// 0, and evaluation-time scoring must never perturb a training run.
+// Parity and isolation tests for the batched DQN scoring paths: QValues
+// and greedy SelectAction must match a per-row scalar scan bit for bit,
+// SelectAction must reject an empty candidate set, and evaluation-time
+// scoring must never perturb a training run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -79,50 +78,9 @@ TEST(DqnBatchTest, GreedySelectActionKeepsLowestIndexOnTies) {
   EXPECT_EQ(agent.SelectAction(candidates, /*explore=*/false), 0u);
 }
 
-TEST(DqnBatchTest, MaxTargetQMatchesPerRowMax) {
-  // Before any target sync the target net equals the online net, so the
-  // per-row reference can go through QValue.
-  for (const std::uint64_t seed : {11u, 29u}) {
-    const DqnAgent agent(SmallConfig(seed));
-    util::Rng rng(seed + 2);
-    for (const std::size_t n : {1ul, 3ul, 25ul}) {
-      const auto candidates = RandomCandidates(n, 6, rng);
-      double expected = agent.QValue(candidates[0]);
-      for (std::size_t i = 1; i < n; ++i) {
-        expected = std::max(expected, agent.QValue(candidates[i]));
-      }
-      EXPECT_EQ(agent.MaxTargetQ(candidates), expected)
-          << "seed " << seed << " n " << n;
-    }
-  }
-}
-
-TEST(DqnBatchTest, MaxTargetQThrowsOnEmptyCandidates) {
-  const DqnAgent agent(SmallConfig(13));
-  EXPECT_THROW(agent.MaxTargetQ({}), std::invalid_argument);
-}
-
 TEST(DqnBatchTest, SelectActionThrowsOnEmptyCandidates) {
   DqnAgent agent(SmallConfig(13));
   EXPECT_THROW(agent.SelectAction({}, false), std::invalid_argument);
-}
-
-TEST(DqnBatchTest, MaxTargetQHandlesAllNegativeQValues) {
-  // Regression for the first-flag bug: with every candidate's Q negative, a
-  // 0.0-initialised running max would floor the target at 0.
-  const DqnAgent agent(SmallConfig(19));
-  util::Rng rng(190);
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    const auto candidates = RandomCandidates(4, 6, rng);
-    const std::vector<double> q = agent.QValues(candidates);
-    if (std::all_of(q.begin(), q.end(), [](double v) { return v < 0.0; })) {
-      const double expected = *std::max_element(q.begin(), q.end());
-      EXPECT_EQ(agent.MaxTargetQ(candidates), expected);
-      EXPECT_LT(agent.MaxTargetQ(candidates), 0.0);
-      return;
-    }
-  }
-  GTEST_SKIP() << "no all-negative candidate set found";
 }
 
 Transition MakeTransition(util::Rng& rng, bool terminal) {
@@ -161,7 +119,6 @@ TEST(DqnBatchTest, EvaluationScoringDoesNotPerturbTraining) {
     // Interleave const evaluation traffic into one agent only.
     (void)evaluated.QValues(probes);
     (void)evaluated.QValue(probes[0]);
-    (void)evaluated.MaxTargetQ(probes);
     const double loss_a = trained.TrainStep();
     const double loss_b = evaluated.TrainStep();
     ASSERT_EQ(loss_a, loss_b) << "step " << step;

@@ -10,6 +10,9 @@
 //     allocation before its elements are read;
 //   - a number outside its field's type, or a nan/inf where a field must
 //     be finite, throws std::runtime_error;
+//   - a learner blob whose windows overflow their capacity, whose rows do
+//     not fit the agent or whose rollback weights do not fit its promotion
+//     state throws at load, so a blob that loads can serve;
 //   - seeded token mutations load or throw std::runtime_error, and the
 //     learner blobs that load restore or throw.
 #include <gtest/gtest.h>
@@ -470,6 +473,194 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<HostileNumber>& info) {
       return std::string(info.param.name);
     });
+
+/// `blob` with its first `from` replaced by `to`.
+std::string Replaced(std::string blob, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = blob.find(from);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no '" << from << "' in the blob";
+    return blob;
+  }
+  return blob.replace(at, from.size(), to);
+}
+
+/// One row as the blob writes it: its width, then its values.
+std::string RowText(std::size_t width) {
+  std::string row = std::to_string(width);
+  for (std::size_t i = 0; i < width; ++i) row += " 0.25";
+  return row + "\n";
+}
+
+/// One bootstrapping transition as the blob writes it: a `width`-wide
+/// feature row, then two next-candidate rows, the second `next_width` wide.
+std::string TransitionText(std::size_t width, std::size_t next_width) {
+  return "t 0.5 0 1 " + RowText(width) + "2\n" + RowText(kFeatureDim) +
+         RowText(next_width);
+}
+
+/// The shadow section with `n` records, the policy slot of each `policy`.
+std::string ShadowText(int n, const char* policy) {
+  std::string text = "\nshadow " + std::to_string(n) + " " +
+                     std::to_string(n) + "\n";
+  for (int i = 1; i <= n; ++i) {
+    text += std::to_string(i) + " " + policy + " 1 1\n";
+  }
+  return text;
+}
+
+/// The evidence section with `n` transitions, `width` wide.
+std::string EvidenceText(int n, std::size_t width, std::size_t next_width) {
+  std::string text = "\nevidence " + std::to_string(n) + "\n";
+  for (int i = 0; i < n; ++i) text += TransitionText(width, next_width);
+  return text;
+}
+
+/// The candidate's weight vector as the blob writes it.
+std::string WeightsText(const std::string& blob) {
+  const std::string key = "\ncandidate-weights ";
+  const std::size_t at = blob.find(key) + key.size();
+  return blob.substr(at, blob.find('\n', at) + 1 - at);
+}
+
+// LearnerBlob's learner saw no served tick: its shadow log and evidence
+// window are empty and its controller warms up with no rollback weights.
+constexpr char kNoShadow[] = "\nshadow 0 0\n";
+constexpr char kNoEvidence[] = "\nevidence 0\n";
+constexpr char kWarmup[] = "\npromotion 0 0 0 0 0 0 0 0\n";
+constexpr char kNoRollback[] = "\nrollback 0\n0\n";
+
+TEST(HostileWindowTest, WindowsOverTheirCapacityThrow) {
+  const auto live = TrainedLiveAgent();
+  const std::string blob = LearnerBlob(live);
+  // At capacity: the shadow log keeps 256 rounds, the evidence window 64
+  // transitions (LearnConfig's default).
+  EXPECT_NO_THROW(MakeLearner(live)->LoadStateString(
+      Replaced(blob, kNoShadow, ShadowText(256, "0"))));
+  EXPECT_NO_THROW(MakeLearner(live)->LoadStateString(Replaced(
+      blob, kNoEvidence, EvidenceText(64, kFeatureDim, kFeatureDim))));
+
+  EXPECT_THROW(MakeLearner(live)->LoadStateString(
+                   Replaced(blob, kNoShadow, ShadowText(300, "0"))),
+               std::runtime_error);
+  EXPECT_THROW(MakeLearner(live)->LoadStateString(Replaced(
+                   blob, kNoEvidence,
+                   EvidenceText(100, kFeatureDim, kFeatureDim))),
+               std::invalid_argument);
+}
+
+TEST(HostileWindowTest, ShadowRecordOfAnotherPolicyThrows) {
+  // The learner shadows one policy; its records' policy slot is always 0.
+  const auto live = TrainedLiveAgent();
+  const std::string blob = LearnerBlob(live);
+  EXPECT_NO_THROW(MakeLearner(live)->LoadStateString(
+      Replaced(blob, kNoShadow, ShadowText(1, "0"))));
+  EXPECT_THROW(MakeLearner(live)->LoadStateString(
+                   Replaced(blob, kNoShadow, ShadowText(1, "7"))),
+               std::runtime_error);
+}
+
+/// A learner blob that parses but holds a part the agent cannot use.
+/// Before the loader checked these, such blobs restored, and a misfit row
+/// or a watching controller's missing rollback weights then threw out of a
+/// later tick (the first TrainStep, gate or rollback that used it).
+struct MisfitBlob {
+  const char* name;
+  std::string (*make)(const std::shared_ptr<rl::DqnAgent>& live);
+};
+
+void PrintTo(const MisfitBlob& c, std::ostream* os) { *os << c.name; }
+
+/// A learner whose replay buffer holds `n` transitions with a `width`-wide
+/// feature row and a `next_width`-wide second next-candidate row.
+std::string ReplayBlob(const std::shared_ptr<rl::DqnAgent>& live, int n,
+                       std::size_t width, std::size_t next_width) {
+  auto learner = MakeLearner(live);
+  for (int i = 0; i < n; ++i) {
+    rl::Transition t;
+    t.features.assign(width, 0.25);
+    t.next_candidates = {std::vector<double>(kFeatureDim, 0.5),
+                         std::vector<double>(next_width, 0.5)};
+    t.duration_rounds = 1;
+    learner->candidate().mutable_buffer().Push(std::move(t));
+  }
+  return learner->SaveStateString();
+}
+
+class MisfitBlobTest : public ::testing::TestWithParam<MisfitBlob> {};
+
+TEST_P(MisfitBlobTest, ThrowsAtLoad) {
+  const auto live = TrainedLiveAgent();
+  const std::string input = GetParam().make(live);
+  EXPECT_THROW(MakeLearner(live)->LoadStateString(input), std::runtime_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Blobs, MisfitBlobTest,
+    ::testing::Values(
+        MisfitBlob{"watching_without_rollback_weights",
+                   [](const std::shared_ptr<rl::DqnAgent>& live) {
+                     return Replaced(LearnerBlob(live), kWarmup,
+                                     "\npromotion 2 5 0 1 0 0 0 0\n");
+                   }},
+        MisfitBlob{"rollback_weights_while_warming_up",
+                   [](const std::shared_ptr<rl::DqnAgent>& live) {
+                     const std::string blob = LearnerBlob(live);
+                     const std::string w = WeightsText(blob);
+                     return Replaced(blob, kNoRollback,
+                                     "\nrollback " + w + w);
+                   }},
+        MisfitBlob{"evidence_rows_narrow",
+                   [](const std::shared_ptr<rl::DqnAgent>& live) {
+                     return Replaced(
+                         Replaced(LearnerBlob(live), kWarmup,
+                                  "\npromotion 1 0 0 0 0 0 0 0\n"),
+                         kNoEvidence,
+                         EvidenceText(40, kFeatureDim - 2, kFeatureDim - 2));
+                   }},
+        MisfitBlob{"evidence_next_row_wide",
+                   [](const std::shared_ptr<rl::DqnAgent>& live) {
+                     return Replaced(LearnerBlob(live), kNoEvidence,
+                                     EvidenceText(1, kFeatureDim,
+                                                  kFeatureDim + 1));
+                   }},
+        MisfitBlob{"replay_rows_narrow",
+                   [](const std::shared_ptr<rl::DqnAgent>& live) {
+                     return ReplayBlob(live, 130, kFeatureDim - 2,
+                                       kFeatureDim - 2);
+                   }},
+        MisfitBlob{"replay_next_row_wide",
+                   [](const std::shared_ptr<rl::DqnAgent>& live) {
+                     return ReplayBlob(live, 1, kFeatureDim, kFeatureDim + 1);
+                   }},
+        MisfitBlob{"open_transition_narrow",
+                   [](const std::shared_ptr<rl::DqnAgent>& live) {
+                     return Replaced(LearnerBlob(live), "\ncollector 0\n",
+                                     "\ncollector 1\n1 0 0 0 " +
+                                         RowText(kFeatureDim - 1));
+                   }}),
+    [](const ::testing::TestParamInfo<MisfitBlob>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(MisfitBlobTest, FittingRowsAndRollbackWeightsLoad) {
+  // The controls of MisfitBlobTest: the same edits with parts that fit.
+  const auto live = TrainedLiveAgent();
+  const std::string blob = LearnerBlob(live);
+  const std::string w = WeightsText(blob);
+  EXPECT_NO_THROW(MakeLearner(live)->LoadStateString(
+      Replaced(Replaced(blob, kWarmup, "\npromotion 2 5 0 1 0 0 0 0\n"),
+               kNoRollback, "\nrollback " + w + w)));
+  EXPECT_NO_THROW(MakeLearner(live)->LoadStateString(
+      Replaced(blob, kNoEvidence, EvidenceText(40, kFeatureDim, kFeatureDim))));
+  EXPECT_NO_THROW(MakeLearner(live)->LoadStateString(
+      ReplayBlob(live, 130, kFeatureDim, kFeatureDim)));
+  // An invalid open transition's row is never used (Open replaces it), so
+  // its width is not checked.
+  EXPECT_NO_THROW(MakeLearner(live)->LoadStateString(Replaced(
+      blob, "\ncollector 0\n",
+      "\ncollector 2\n1 0 0 0 " + RowText(kFeatureDim) + "0 1 0 0 0\n")));
+}
 
 /// Counts at and past every loader bound, numbers just outside a type,
 /// non-numbers, special doubles, section keywords; or any token of the

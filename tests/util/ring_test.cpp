@@ -84,5 +84,34 @@ TEST(RingTest, RestoreReproducesTheRingAndRejectsBadState) {
   EXPECT_EQ(none.evictions(), 7u);
 }
 
+std::vector<int> OldestFirst(const Ring<int>& ring) {
+  std::vector<int> out;
+  ring.ForEachOldestFirst([&](int v) { out.push_back(v); });
+  return out;
+}
+
+TEST(RingTest, ForEachOldestFirstVisitsInAgeOrder) {
+  Ring<int> ring(4);
+  EXPECT_TRUE(OldestFirst(ring).empty());
+  for (int i = 1; i <= 3; ++i) ring.Push(i);
+  EXPECT_EQ(OldestFirst(ring), (std::vector<int>{1, 2, 3}));  // no wrap yet
+  for (int i = 4; i <= 13; ++i) ring.Push(i);  // several wraps
+  EXPECT_EQ(ring.data(), (std::vector<int>{13, 10, 11, 12}));
+  EXPECT_EQ(OldestFirst(ring), (std::vector<int>{10, 11, 12, 13}));
+
+  Ring<int> copy(4);
+  copy.Restore(ring.data(), ring.oldest(), ring.evictions());
+  EXPECT_EQ(OldestFirst(copy), (std::vector<int>{10, 11, 12, 13}));
+  copy.Push(14);
+  EXPECT_EQ(OldestFirst(copy), (std::vector<int>{11, 12, 13, 14}));
+
+  // A list restored oldest first at cursor 0 (how the learner restores
+  // its windows) stays in age order as pushes wrap it.
+  Ring<int> window(4);
+  window.Restore({7, 8}, 0, 0);
+  for (int i = 9; i <= 11; ++i) window.Push(i);
+  EXPECT_EQ(OldestFirst(window), (std::vector<int>{8, 9, 10, 11}));
+}
+
 }  // namespace
 }  // namespace mobirescue::util
