@@ -80,10 +80,7 @@ OnlineLearner::OnlineLearner(const LearnConfig& config,
         return agent;
       }()),
       collector_(reward,
-                 [this](rl::Transition t) {
-                   promotion_.AddEvidence(t);
-                   candidate_->mutable_buffer().Push(std::move(t));
-                 }),
+                 [this](rl::Transition t) { AddTransition(std::move(t)); }),
       shadow_(candidate_),
       promotion_(config.promotion, *live_, *candidate_) {}
 
@@ -115,6 +112,11 @@ void OnlineLearner::OnServedTick(std::uint64_t tick,
   promotion_.OnTick(tick, false, shadow_.SawNonFiniteQ());
 }
 
+void OnlineLearner::AddTransition(rl::Transition t) {
+  promotion_.AddEvidence(t);
+  candidate_->mutable_buffer().Push(std::move(t));
+}
+
 LearnMetrics OnlineLearner::metrics() const {
   LearnMetrics m;
   m.ticks_observed = ticks_;
@@ -135,6 +137,11 @@ LearnMetrics OnlineLearner::metrics() const {
 
 std::string OnlineLearner::SaveStateString() const {
   util::TextWriter out;
+  AppendState(out);
+  return out.Release();
+}
+
+void OnlineLearner::AppendState(util::TextWriter& out) const {
   out << kLearnMagic << '\n';
   out << "ticks " << ticks_ << '\n';
 
@@ -179,14 +186,26 @@ std::string OnlineLearner::SaveStateString() const {
   out << "promotion-ticks " << snap.promotion_ticks.size();
   for (const std::uint64_t t : snap.promotion_ticks) out << ' ' << t;
   out << '\n';
-  out << "evidence " << snap.evidence.size() << '\n';
-  for (const rl::Transition& t : snap.evidence) WriteTransition(out, t);
+  const util::Ring<rl::Transition>& evidence = promotion_.evidence();
+  out << "evidence " << evidence.size() << '\n';
+  // The newest evidence transitions are the buffer's newest, whose text
+  // the buffer section above just memoised. The buffer's bit check sends
+  // the rest (a buffer smaller than the window, a restored blob whose two
+  // sections differ) to WriteTransition.
+  std::size_t age = evidence.size();
+  evidence.ForEachOldestFirst([&](const rl::Transition& t) {
+    const std::string_view text = buf.MemoisedText(--age, t);
+    if (text.empty()) {
+      WriteTransition(out, t);
+    } else {
+      out << text;
+    }
+  });
   out << "rollback ";
   WriteVector(out, snap.rollback_online);
   WriteVector(out, snap.rollback_target);
 
   out << kLearnEnd << '\n';
-  return out.Release();
 }
 
 void OnlineLearner::LoadStateString(std::string_view blob) {
@@ -267,8 +286,9 @@ void OnlineLearner::LoadStateString(std::string_view blob) {
   }
   in.Expect("evidence");
   const std::size_t n_evidence = in.Count(kMaxCount);
+  std::vector<rl::Transition> evidence;
   for (std::size_t i = 0; i < n_evidence; ++i) {
-    snap.evidence.push_back(ReadTransition(in, dim));
+    evidence.push_back(ReadTransition(in, dim));
   }
   in.Expect("rollback");
   snap.rollback_online = ReadVector(in);
@@ -280,7 +300,7 @@ void OnlineLearner::LoadStateString(std::string_view blob) {
       snap.rollback_target.size() != n_rollback) {
     in.Fail("rollback weights do not fit the promotion state");
   }
-  promotion_.Restore(std::move(snap));
+  promotion_.Restore(std::move(snap), std::move(evidence));
 
   in.Expect(kLearnEnd);
   if (!in.AtEnd()) in.Fail("trailing garbage");

@@ -30,7 +30,11 @@
 // Its replay-buffer section, nearly all of it, is written through the
 // buffer's per-slot text memo (rl::ReplayBuffer::AppendText), so a save
 // formats only the transitions pushed since the last save; the first save
-// after a restore formats them all, into the same bytes.
+// after a restore formats them all, into the same bytes. Every evidence
+// transition was pushed into the buffer with it, so the evidence section
+// takes its text from that memo too (rl::ReplayBuffer::MemoisedText, which
+// checks the two bitwise) and formats only what the buffer no longer holds
+// the same. AppendState writes the blob straight into the caller's writer.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +50,7 @@
 #include "obs/metrics.hpp"
 #include "rl/dqn_agent.hpp"
 #include "sim/dispatcher.hpp"
+#include "util/text_writer.hpp"
 
 namespace mobirescue::learn {
 
@@ -80,9 +85,17 @@ class OnlineLearner {
   void OnServedTick(std::uint64_t tick, const sim::DispatchContext& context,
                     const dispatch::RoundCapture& capture, bool used_fallback);
 
+  /// One closed transition into the candidate's replay buffer and the
+  /// promotion evidence window: what the collector does with every
+  /// transition it closes.
+  void AddTransition(rl::Transition t);
+
   LearnMetrics metrics() const;
 
-  /// The complete dynamic state as a mobirescue-learn-v1 token blob.
+  /// Appends the complete dynamic state to `out` as a mobirescue-learn-v1
+  /// token blob.
+  void AppendState(util::TextWriter& out) const;
+  /// The same blob as a string.
   std::string SaveStateString() const;
   /// Restores it. A blob that does not parse, or whose weights, rows or
   /// rollback weights do not fit the agent, throws std::runtime_error; one

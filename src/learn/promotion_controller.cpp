@@ -201,9 +201,6 @@ PromotionController::Snapshot PromotionController::snapshot() const {
   s.state = state_;
   s.watch_left = watch_left_;
   s.cooldown_left = cooldown_left_;
-  s.evidence.reserve(evidence_.size());
-  evidence_.ForEachOldestFirst(
-      [&](const rl::Transition& t) { s.evidence.push_back(t); });
   s.promotions = promotions_;
   s.rollbacks = rollbacks_;
   s.rejections = rejections_;
@@ -215,10 +212,11 @@ PromotionController::Snapshot PromotionController::snapshot() const {
   return s;
 }
 
-void PromotionController::Restore(Snapshot s) {
+void PromotionController::Restore(Snapshot s,
+                                  std::vector<rl::Transition> evidence) {
   // First: the only call that can throw, so a rejected snapshot changes
   // nothing.
-  evidence_.Restore(std::move(s.evidence), 0, 0);
+  evidence_.Restore(std::move(evidence), 0, 0);
   state_ = s.state;
   watch_left_ = s.watch_left;
   cooldown_left_ = s.cooldown_left;

@@ -80,6 +80,8 @@ class PromotionController {
     return promotion_ticks_;
   }
   std::size_t evidence_size() const { return evidence_.size(); }
+  /// The evidence window, read in place (ForEachOldestFirst).
+  const util::Ring<rl::Transition>& evidence() const { return evidence_; }
   /// TD errors from the most recent gate evaluation (0 before the first).
   double last_live_td() const { return last_live_td_; }
   double last_candidate_td() const { return last_candidate_td_; }
@@ -89,12 +91,11 @@ class PromotionController {
   static double MeanTdError(const rl::DqnAgent& agent,
                             const util::Ring<rl::Transition>& window);
 
-  /// Complete controller state for checkpointing.
+  /// Controller state for checkpointing, beside evidence().
   struct Snapshot {
     PromotionState state = PromotionState::kWarmup;
     int watch_left = 0;
     int cooldown_left = 0;
-    std::vector<rl::Transition> evidence;  // oldest first
     std::uint64_t promotions = 0;
     std::uint64_t rollbacks = 0;
     std::uint64_t rejections = 0;
@@ -105,8 +106,9 @@ class PromotionController {
     double last_candidate_td = 0.0;
   };
   Snapshot snapshot() const;
-  /// Throws std::invalid_argument when the evidence exceeds the window.
-  void Restore(Snapshot s);
+  /// Restores a snapshot and the evidence (oldest first). Throws
+  /// std::invalid_argument when the evidence exceeds the window.
+  void Restore(Snapshot s, std::vector<rl::Transition> evidence);
 
  private:
   void EvaluateGate(std::uint64_t tick, bool candidate_q_nonfinite);

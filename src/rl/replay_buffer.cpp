@@ -1,8 +1,32 @@
 #include "rl/replay_buffer.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
+#include "util/same_bits.hpp"
+
 namespace mobirescue::rl {
+
+namespace {
+
+bool SameBits(const Transition& a, const Transition& b) {
+  if (std::bit_cast<std::uint64_t>(a.reward) !=
+          std::bit_cast<std::uint64_t>(b.reward) ||
+      a.terminal != b.terminal || a.duration_rounds != b.duration_rounds ||
+      !util::SameBits(a.features, b.features) ||
+      a.next_candidates.size() != b.next_candidates.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.next_candidates.size(); ++i) {
+    if (!util::SameBits(a.next_candidates[i], b.next_candidates[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 void ReplayBuffer::Push(Transition t) {
   ++pushes_;
@@ -72,6 +96,17 @@ void ReplayBuffer::AppendText(util::TextWriter& out,
     }
     out << text_[i];
   }
+}
+
+std::string_view ReplayBuffer::MemoisedText(std::size_t age,
+                                           const Transition& t) const {
+  const std::size_t size = ring_.size();
+  if (age >= size) return {};
+  // Slot order from the newest back: the ring's newest element sits just
+  // before oldest(), and the bit check below covers any ring it does not.
+  const std::size_t slot = (ring_.oldest() + size - 1 - age) % size;
+  if (slot >= text_.size() || !SameBits(ring_.data()[slot], t)) return {};
+  return text_[slot];
 }
 
 }  // namespace mobirescue::rl

@@ -7,7 +7,8 @@
 // the max_a' Q(s', a') bootstrap target).
 //
 // Each slot carries two memos of values that never change while the slot
-// holds the same transition: its checkpoint text (AppendText) and its
+// holds the same transition: its checkpoint text (AppendText, read back
+// for a bit-identical copy by MemoisedText) and its
 // bootstrap max_a' Q_target(s', a') under one target-network epoch
 // (DqnAgent::TrainStep, DESIGN.md §15.5). Both are dropped in the same two
 // places: Push() drops the slot it writes, whether it appends or overwrites
@@ -17,16 +18,17 @@
 // Threading contract: single writer. Push(), Sample() and the checkpoint
 // accessors are not synchronised; offline training and the online learner
 // (which runs its whole tick phase on the serving thread) each own their
-// buffer. AppendText() is const but fills the checkpoint-text memo, and
-// CacheBootstrap() fills the bootstrap memo, so both belong to that writer
-// too: call them from the thread that pushes, never beside a Push() or
-// each other.
+// buffer. AppendText() is const but fills the checkpoint-text memo, which
+// MemoisedText() reads, and CacheBootstrap() fills the bootstrap memo, so
+// all three belong to that writer too: call them from the thread that
+// pushes, never beside a Push() or each other.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -94,6 +96,14 @@ class ReplayBuffer {
   /// afresh, provided every call passes the same `format`.
   using FormatFn = std::function<void(util::TextWriter&, const Transition&)>;
   void AppendText(util::TextWriter& out, const FormatFn& format) const;
+  /// The memoised text of the transition pushed `age` pushes before the
+  /// newest (0 = the newest) if that slot's text is memoised and the slot
+  /// holds a transition bit-identical to `t` (the reward's bits, terminal,
+  /// duration_rounds and every feature row); empty otherwise, and valid
+  /// until the next Push(), Restore() or AppendText(). Lets a caller that
+  /// keeps copies of pushed transitions write them as AppendText's
+  /// `format` would, without formatting them again.
+  std::string_view MemoisedText(std::size_t age, const Transition& t) const;
 
  private:
   util::Ring<Transition> ring_;

@@ -1,5 +1,9 @@
 #include "serve/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -107,6 +111,8 @@ mobility::GpsRecord LoadRecord(util::TextReader& in) {
   return r;
 }
 
+}  // namespace
+
 void SaveServingState(const ServingState& s, util::TextWriter& out) {
   out << kServeStateMagic << '\n';
   out << s.ticks << ' ' << s.watermark << '\n';
@@ -126,6 +132,8 @@ void SaveServingState(const ServingState& s, util::TextWriter& out) {
   for (const std::uint64_t key : s.flow_seen) out << key << ' ';
   out << '\n' << kServeStateEnd << '\n';
 }
+
+namespace {
 
 ServingState LoadServingState(util::TextReader& in) {
   // Caller has already consumed kServeStateMagic.
@@ -183,8 +191,7 @@ ServiceCheckpoint MakeCheckpoint(const rl::DqnAgent& agent,
   return ckpt;
 }
 
-void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os) {
-  util::TextWriter out;
+void SaveCheckpoint(const ServiceCheckpoint& ckpt, util::TextWriter& out) {
   out << kCkptMagic << '\n';
   SaveDqn(ckpt.dqn, ckpt.dqn_weights, ckpt.dqn_target_weights, out);
   ml::SaveSvm(ckpt.svm, out);
@@ -193,6 +200,11 @@ void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os) {
   if (ckpt.has_serving_state) SaveServingState(ckpt.serving, out);
   // The learner blob carries its own begin/end magics; written verbatim.
   out << ckpt.learner_state;
+}
+
+void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os) {
+  util::TextWriter out;
+  SaveCheckpoint(ckpt, out);
   out.WriteTo(os);
   if (!os) throw std::runtime_error("SaveCheckpoint: write failed");
 }
@@ -240,28 +252,47 @@ ServiceCheckpoint LoadCheckpoint(std::string_view text) {
 
 void SaveCheckpointToFile(const ServiceCheckpoint& ckpt,
                           const std::string& path) {
+  util::TextWriter out;
+  SaveCheckpoint(ckpt, out);
+  WriteCheckpointText(out.view(), path);
+}
+
+void WriteCheckpointText(std::string_view text, const std::string& path) {
   // Written beside `path` and renamed over it only once complete and
   // closed, so a failed save (a full disk, a file-size limit) leaves the
   // previous checkpoint in place. No fsync: power-loss durability is not
   // promised, and disk latency would land in the serving tick.
   const std::string tmp = path + ".tmp";
-  try {
-    std::ofstream os(tmp);
-    if (!os) {
-      throw std::runtime_error("SaveCheckpointToFile: cannot open " + tmp);
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    throw std::runtime_error("SaveCheckpointToFile: cannot open " + tmp);
+  }
+  // Blocks allocated before the write: a rename that replaces a file makes
+  // ext4 allocate and flush the new file's delayed blocks inside rename()
+  // (auto_da_alloc), which took longer than the write (DESIGN.md §13.4).
+  // Linux fallocate, not posix_fallocate, which glibc emulates by writing
+  // zeros. A failure here (no support, a size limit) is left to the write
+  // to report.
+  ::fallocate(fd, 0, 0, static_cast<off_t>(text.size()));
+  bool written = true;
+  for (std::size_t done = 0; written && done < text.size();) {
+    const ssize_t n = ::write(fd, text.data() + done, text.size() - done);
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      written = false;
     }
-    SaveCheckpoint(ckpt, os);
-    os.close();
-    if (!os) {
-      throw std::runtime_error("SaveCheckpointToFile: cannot write " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      throw std::runtime_error("SaveCheckpointToFile: cannot rename " + tmp +
-                               " to " + path);
-    }
-  } catch (...) {
+  }
+  if (::close(fd) != 0) written = false;
+  if (!written) {
     std::remove(tmp.c_str());
-    throw;
+    throw std::runtime_error("SaveCheckpointToFile: cannot write " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("SaveCheckpointToFile: cannot rename " + tmp +
+                             " to " + path);
   }
 }
 

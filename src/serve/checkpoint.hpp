@@ -3,9 +3,12 @@
 // trained SVM request predictor (model + feature scaler + calibrated
 // threshold) — in one versioned plain-text artifact built on ml/serialize.
 //
-// Every save path formats through one util::TextWriter: doubles in their
-// shortest round-trip form (std::to_chars), integers in decimal, the whole
-// checkpoint built in one buffer and written once. Every load parses the
+// Every save path runs one formatter, SaveCheckpoint(ckpt, util::TextWriter&):
+// doubles in their shortest round-trip form (std::to_chars), integers in
+// decimal, the whole text in the writer's one buffer and written once.
+// DispatchService's periodic save formats the same sections into a writer
+// it keeps across saves and reuses the text that did not change
+// (DispatchService::WriteCheckpoint). Every load parses the
 // whole text through one util::TextReader (std::from_chars), which reads
 // those digits back to the same bits, so a save/load round trip restores
 // bit-identical Q-values and SVM decision values (checkpoint_test asserts
@@ -43,6 +46,7 @@
 #include "predict/svm_predictor.hpp"
 #include "rl/dqn_agent.hpp"
 #include "serve/stream_state.hpp"
+#include "util/text_writer.hpp"
 #include "weather/disaster_factors.hpp"
 
 namespace mobirescue::serve {
@@ -94,17 +98,25 @@ std::size_t ExpectedDqnWeightCount(const rl::DqnConfig& config);
 ServiceCheckpoint MakeCheckpoint(const rl::DqnAgent& agent,
                                  const predict::SvmRequestPredictor& svm);
 
+/// Appends the checkpoint's text to `out`: the formatter every save runs.
+void SaveCheckpoint(const ServiceCheckpoint& ckpt, util::TextWriter& out);
 /// Writes / parses the checkpoint; throws std::runtime_error on I/O failure
 /// or malformed input (truncation, size/topology mismatch, a bad number,
 /// trailing garbage).
 void SaveCheckpoint(const ServiceCheckpoint& ckpt, std::ostream& os);
 ServiceCheckpoint LoadCheckpoint(std::string_view text);
+/// Appends the serving-state section alone (SaveCheckpoint writes it after
+/// the model sections when has_serving_state is set).
+void SaveServingState(const ServingState& s, util::TextWriter& out);
 
-/// Writes `path + ".tmp"`, closes it and renames it onto `path`. A save
-/// that fails throws std::runtime_error, removes the temporary file and
-/// leaves the checkpoint already at `path` as it was.
+/// Writes the checkpoint's text to `path` (WriteCheckpointText).
 void SaveCheckpointToFile(const ServiceCheckpoint& ckpt,
                           const std::string& path);
+/// Writes `text` to `path + ".tmp"`, its blocks allocated first, closes it
+/// and renames it onto `path`. A write that fails throws
+/// std::runtime_error, removes the temporary file and leaves the file
+/// already at `path` as it was. No fsync (DESIGN.md §13.4).
+void WriteCheckpointText(std::string_view text, const std::string& path);
 /// Reads the file in one piece and parses it.
 ServiceCheckpoint LoadCheckpointFromFile(const std::string& path);
 

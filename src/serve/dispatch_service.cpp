@@ -9,6 +9,7 @@
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "serve/trace_streamer.hpp"
+#include "util/same_bits.hpp"
 
 namespace mobirescue::serve {
 
@@ -263,7 +264,7 @@ sim::DispatchDecision DispatchService::Tick(
     OBS_SPAN("serve.checkpoint");
     const auto c0 = std::chrono::steady_clock::now();
     try {
-      SaveCheckpointToFile(Checkpoint(), config_.checkpoint_path);
+      WriteCheckpoint(config_.checkpoint_path);
       checkpoint_counter_.Increment();
       std::snprintf(attrs, sizeof(attrs), "tick=%llu", tick_no);
       flight.Emit(obs::Severity::kInfo, "serve", "checkpoint", attrs);
@@ -309,23 +310,53 @@ sim::MetricsCollector DispatchService::ServeEpisode(
   return simulator.metrics();
 }
 
-ServiceCheckpoint DispatchService::Checkpoint() const {
+void DispatchService::RequireCheckpointable(const char* caller) const {
   if (!CanCheckpoint()) {
-    throw std::logic_error(
-        "DispatchService::Checkpoint: only MobiRescue services (built from "
-        "an svm + agent) can checkpoint");
+    throw std::logic_error(std::string("DispatchService::") + caller +
+                           ": only MobiRescue services (built from an svm + "
+                           "agent) can checkpoint");
   }
-  ServiceCheckpoint ckpt = MakeCheckpoint(mobirescue_->agent(), *svm_);
-  ckpt.has_serving_state = true;
-  ServingState& s = ckpt.serving;
+}
+
+void DispatchService::ExportServingState(ServingState& s) const {
   s.ticks = lifetime_ticks_;
   s.watermark = watermark_;
   s.latest = state_.ExportLatest();
   s.deferred = deferred_;
   s.counters = state_.counters();
   state_.ExportFlowState(&s.flow_cells, &s.flow_seen);
+}
+
+ServiceCheckpoint DispatchService::Checkpoint() const {
+  RequireCheckpointable("Checkpoint");
+  ServiceCheckpoint ckpt = MakeCheckpoint(mobirescue_->agent(), *svm_);
+  ckpt.has_serving_state = true;
+  ExportServingState(ckpt.serving);
   if (learner_ != nullptr) ckpt.learner_state = learner_->SaveStateString();
   return ckpt;
+}
+
+void DispatchService::WriteCheckpoint(const std::string& path) {
+  RequireCheckpointable("WriteCheckpoint");
+  const rl::DqnAgent& agent = mobirescue_->agent();
+  std::vector<double> online = agent.SaveWeights();
+  std::vector<double> target = agent.SaveTargetWeights();
+  if (save_.models.empty() || !util::SameBits(online, save_.models_online) ||
+      !util::SameBits(target, save_.models_target)) {
+    // Only a promotion or a rollback changes the live weights.
+    util::TextWriter models;
+    SaveCheckpoint(MakeCheckpoint(agent, *svm_), models);
+    save_.models = models.Release();
+    save_.models_online = std::move(online);
+    save_.models_target = std::move(target);
+  }
+  util::TextWriter& out = save_.text;
+  out.Clear();
+  out << save_.models;
+  ExportServingState(save_.serving);
+  SaveServingState(save_.serving, out);
+  if (learner_ != nullptr) learner_->AppendState(out);
+  WriteCheckpointText(out.view(), path);
 }
 
 void DispatchService::RestoreServingState(const ServiceCheckpoint& ckpt) {

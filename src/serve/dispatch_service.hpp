@@ -46,6 +46,7 @@
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
+#include "util/text_writer.hpp"
 
 namespace mobirescue::serve {
 
@@ -207,6 +208,16 @@ class DispatchService {
   /// CanCheckpoint(); throws std::logic_error otherwise).
   ServiceCheckpoint Checkpoint() const;
 
+  /// Saves Checkpoint() to `path`: the bytes and the guarantees of
+  /// SaveCheckpointToFile(Checkpoint(), path), and the one save the tick's
+  /// periodic checkpoint runs. It formats into a writer it keeps across
+  /// calls and reuses the text that did not change since the previous
+  /// call: the model sections while the live weights stay bitwise the
+  /// same, and the learner's replay-buffer text (OnlineLearner::
+  /// AppendState). Requires CanCheckpoint() (throws std::logic_error
+  /// otherwise); a failed write throws std::runtime_error.
+  void WriteCheckpoint(const std::string& path);
+
   /// Restores the serving-state section of a checkpoint — watermark, tick
   /// count, latest positions, deferred records, stream/quarantine counters
   /// and flow state — into this (freshly built) service, and counts a
@@ -255,6 +266,10 @@ class DispatchService {
   /// Builds the incident writer when config.incident.dir is set.
   static std::unique_ptr<obs::IncidentWriter> MakeIncidentWriter(
       const ServiceConfig& config);
+  /// Throws std::logic_error unless CanCheckpoint().
+  void RequireCheckpointable(const char* caller) const;
+  /// The serving-state section of Checkpoint(), into `s`'s buffers.
+  void ExportServingState(ServingState& s) const;
 
   ServiceConfig config_;
   ShardedIngestQueue queue_;
@@ -277,6 +292,20 @@ class DispatchService {
   obs::HealthEngine health_;
   /// Incident-bundle writer; null unless config.incident.dir is set.
   std::unique_ptr<obs::IncidentWriter> incidents_;
+
+  /// WriteCheckpoint's state, kept across saves: its writer (cleared, never
+  /// shrunk), the serving-state export's buffers, and the model sections'
+  /// text (the magic through the threshold) with the live online and
+  /// target weights it was formatted from. The SVM, its scaler and
+  /// threshold are fixed for the service's life (`svm_` is const).
+  struct SaveBuffers {
+    util::TextWriter text;
+    ServingState serving;
+    std::string models;
+    std::vector<double> models_online;
+    std::vector<double> models_target;
+  };
+  SaveBuffers save_;
 
   // Tick-loop state (single consumer). The per-tick latency samples keep
   // exact order statistics for metrics(); every count lives in the obs

@@ -232,7 +232,7 @@ FaultedEpisodeOutcome RunFaultedEpisode(sim::RescueSimulator& simulator,
     simulator.SubmitDecision(service->Tick(ctx));
     ++tick;
     if (checkpointing && tick % config.checkpoint_every_n_ticks == 0) {
-      SaveCheckpointToFile(service->Checkpoint(), config.checkpoint_path);
+      service->WriteCheckpoint(config.checkpoint_path);
       have_checkpoint = true;
       ++outcome.checkpoints_written;
     }

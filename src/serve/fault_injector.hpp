@@ -169,11 +169,13 @@ struct FaultedEpisodeOutcome {
 };
 
 /// Drives a full episode under a fault plan: streams the faulted schedule
-/// into the service while the simulator ticks, checkpoints every N ticks,
-/// and at each plan kill tick destroys the streamer + service, reloads the
-/// checkpoint, rebuilds via `factory`, restores the serving state, and
-/// resumes streaming from the checkpoint watermark. Kill ticks before the
-/// first checkpoint are skipped (nothing to restore from).
+/// into the service while the simulator ticks, checkpoints every N ticks
+/// (DispatchService::WriteCheckpoint, the save the tick's own periodic
+/// checkpoint runs), and at each plan kill tick destroys the streamer +
+/// service, reloads the checkpoint, rebuilds via `factory`, restores the
+/// serving state, and resumes streaming from the checkpoint watermark.
+/// Kill ticks before the first checkpoint are skipped (nothing to restore
+/// from).
 FaultedEpisodeOutcome RunFaultedEpisode(sim::RescueSimulator& simulator,
                                         const mobility::GpsTrace& trace,
                                         FaultInjector& injector,

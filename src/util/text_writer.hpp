@@ -6,9 +6,11 @@
 // std::from_chars reads back to the same bits (±0 and ±inf included; NaN
 // keeps its sign, not its payload). Integers are written in decimal.
 // Everything goes into one std::string, so a save formats each token once
-// and hands the whole text to its stream or caller in one piece — no
+// and hands the whole text to its stream, file or caller in one piece — no
 // per-token stream state or vsnprintf call, which dominated the save at
-// max_digits10.
+// max_digits10. A writer kept across saves and emptied by Clear() keeps its
+// capacity, so a periodic save stops allocating once the writer has held
+// its largest text.
 #pragma once
 
 #include <charconv>
@@ -38,6 +40,10 @@ class TextWriter {
 
   /// Moves the text out; the writer is empty afterwards.
   std::string Release() { return std::exchange(text_, std::string()); }
+  /// Empties the writer and keeps its capacity.
+  void Clear() { text_.clear(); }
+  /// The text so far; valid until the next write or Clear().
+  std::string_view view() const { return text_; }
   /// Writes the whole text to `os` in one call.
   void WriteTo(std::ostream& os) const {
     os.write(text_.data(), static_cast<std::streamsize>(text_.size()));

@@ -12,14 +12,22 @@
 //     complete dynamic state,
 //   - a process kill mid-episode (checkpoint cadence 1) recovers to the
 //     exact same post-promotion weights and day outcome as the unkilled
-//     run — the learner's interplay with the fault layer loses nothing.
+//     run — the learner's interplay with the fault layer loses nothing,
+//   - the periodic save, which reuses text across saves, writes the bytes
+//     a fresh save of Checkpoint() writes after every tick of such a day.
 #include "learn/learner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -470,6 +478,97 @@ TEST_F(LearnServiceTest, KillMidLearningRecoversBitIdentically) {
   EXPECT_FALSE(restored_agents->empty());
   EXPECT_EQ(restored_agents->back()->SaveWeights(), baseline.live_weights);
   EXPECT_GE(outcome.service->metrics().recoveries, 1u);
+}
+
+TEST_F(LearnServiceTest, PeriodicFileEqualsAFreshSaveEveryTick) {
+  // The periodic save keeps its writer and reuses text across saves: the
+  // model sections while the live weights stay the same, the replay
+  // buffer's memo, and the evidence taken from it. After every tick of a
+  // learning day that promotes, rolls one promotion back (a decide failure
+  // inside the watch window) and restores into a fresh service mid-day,
+  // the file must be the bytes a fresh save of Checkpoint() writes.
+  constexpr int kRestoreAfterTick = 150;
+  serve::ServiceConfig config = BaseServiceConfig();
+  config.learn = AggressiveLearnConfig();
+  config.checkpoint_every_n_ticks = 1;
+  config.checkpoint_path =
+      std::string(::testing::TempDir()) + "learn_periodic_ckpt.txt";
+  bool fail_next_decide = false;
+  config.decide_chaos = [&fail_next_decide](util::SimTime) {
+    if (std::exchange(fail_next_decide, false)) {
+      throw std::runtime_error("injected decide failure");
+    }
+  };
+
+  // The restored models outlive the service built on them.
+  std::shared_ptr<rl::DqnAgent> restored_agent;
+  std::unique_ptr<predict::SvmRequestPredictor> restored_svm;
+  auto service = std::make_unique<serve::DispatchService>(
+      *world_->city, *world_->index, *svm_, CloneAgent(), DayOffset(),
+      config);
+  sim::RescueSimulator simulator = MakeSimulator();
+  const mobility::GpsTrace trace = DayTrace();
+  auto streamer = std::make_unique<serve::TraceStreamer>(trace, *service);
+  int ticks = 0;
+  sim::DispatchContext ctx;
+  while (simulator.NextRound(service->dispatcher(), &ctx)) {
+    streamer->WaitDelivered(ctx.now);
+    simulator.SubmitDecision(service->Tick(ctx));
+    ++ticks;
+
+    std::ostringstream fresh;
+    serve::SaveCheckpoint(service->Checkpoint(), fresh);
+    const std::string want = std::move(fresh).str();
+    std::ifstream file(config.checkpoint_path, std::ios::binary);
+    const std::string on_disk((std::istreambuf_iterator<char>(file)),
+                              std::istreambuf_iterator<char>());
+    // Not ASSERT_EQ: gtest's line diff of two texts this long needs memory
+    // that grows with the product of their line counts.
+    const auto diff =
+        std::mismatch(on_disk.begin(), on_disk.end(), want.begin(), want.end());
+    ASSERT_TRUE(diff.first == on_disk.end() && diff.second == want.end())
+        << "tick " << ticks << ": the file (" << on_disk.size()
+        << " bytes) differs from a fresh save (" << want.size()
+        << " bytes) at byte " << (diff.first - on_disk.begin());
+
+    const PromotionController& promotion = service->learner()->promotion();
+    if (promotion.state() == PromotionState::kWatching &&
+        promotion.rollbacks() == 0) {
+      fail_next_decide = true;
+    }
+    if (ticks == kRestoreAfterTick) {
+      const serve::ServiceCheckpoint ckpt =
+          serve::LoadCheckpointFromFile(config.checkpoint_path);
+      streamer.reset();
+      service.reset();
+      restored_agent = serve::RestoreAgent(ckpt);
+      restored_svm = serve::RestorePredictor(ckpt, *world_->train.factors);
+      service = std::make_unique<serve::DispatchService>(
+          *world_->city, *world_->index, *restored_svm, restored_agent,
+          DayOffset(), config);
+      service->RestoreServingState(ckpt);
+      mobility::GpsTrace remaining;
+      for (const mobility::GpsRecord& r : trace) {
+        if (r.t > ckpt.serving.watermark) remaining.push_back(r);
+      }
+      streamer = std::make_unique<serve::TraceStreamer>(std::move(remaining),
+                                                        *service);
+    }
+  }
+
+  EXPECT_EQ(ticks, 288);
+  const serve::ServiceMetrics m = service->metrics();
+  EXPECT_EQ(m.recoveries, 1u);
+  EXPECT_EQ(m.checkpoints_written,
+            static_cast<std::uint64_t>(288 - kRestoreAfterTick));
+  EXPECT_EQ(m.learn.rollbacks, 1u);
+  // A promotion before the restore and one after it.
+  const std::vector<std::uint64_t>& promoted =
+      service->learner()->promotion().promotion_ticks();
+  ASSERT_GE(promoted.size(), 2u);
+  EXPECT_LE(promoted.front(), static_cast<std::uint64_t>(kRestoreAfterTick));
+  EXPECT_GT(promoted.back(), static_cast<std::uint64_t>(kRestoreAfterTick));
+  std::remove(config.checkpoint_path.c_str());
 }
 
 }  // namespace

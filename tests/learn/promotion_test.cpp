@@ -262,10 +262,13 @@ TEST(PromotionControllerTest, SnapshotRoundTripsMidWatchState) {
   pc.OnTick(1, false, false);  // evaluates; promotion or rejection
 
   const PromotionController::Snapshot snap = pc.snapshot();
+  std::vector<rl::Transition> evidence;
+  pc.evidence().ForEachOldestFirst(
+      [&](const rl::Transition& t) { evidence.push_back(t); });
   rl::DqnAgent live2(TinyConfig(11));
   rl::DqnAgent candidate2(TinyConfig(12));
   PromotionController restored(FastGate(), live2, candidate2);
-  restored.Restore(snap);
+  restored.Restore(snap, evidence);
   EXPECT_EQ(restored.state(), pc.state());
   EXPECT_EQ(restored.promotions(), pc.promotions());
   EXPECT_EQ(restored.rejections(), pc.rejections());

@@ -296,6 +296,17 @@ TEST(CheckpointFileTest, FailedSaveKeepsThePreviousCheckpoint) {
   std::filesystem::remove(path);
 }
 
+TEST(CheckpointFileTest, SaveIntoAMissingDirectoryThrowsAndCreatesNothing) {
+  const auto live = TrainedLiveAgent();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ckpt_missing_dir";
+  std::filesystem::remove_all(dir);
+  EXPECT_THROW(
+      SaveCheckpointToFile(FullCheckpoint(live), (dir / "ckpt.txt").string()),
+      std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(HostileCapacityTest, HugeDqnBufferCapacitySizesNoAllocation) {
   // The DQN section's buffer_capacity is only a bound: the replay ring
   // allocates as transitions arrive, so 2^40 restores, fills and trains.

@@ -124,6 +124,20 @@ TEST(TextWriterTest, IntegersCharsAndTextAppendInOrder) {
   EXPECT_TRUE(in.AtEnd());
 }
 
+TEST(TextWriterTest, ClearEmptiesTheTextAndKeepsItsStorage) {
+  TextWriter out;
+  out << std::string(4096, 'x');
+  const char* storage = out.view().data();
+  out.Clear();
+  EXPECT_EQ(out.view(), "");
+  out << "ticks " << 7 << '\n';
+  EXPECT_EQ(out.view(), "ticks 7\n");
+  // A text that fits the kept capacity does not reallocate it.
+  out << std::string(4000, 'y');
+  EXPECT_EQ(out.view().data(), storage);
+  EXPECT_EQ(out.view().size(), 4008u);
+}
+
 /// `text` read into a T throws std::runtime_error carrying the context.
 template <typename T>
 void ExpectRejected(const std::string& text) {
